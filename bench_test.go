@@ -546,6 +546,46 @@ func BenchmarkDESProcessSwitch(b *testing.B) {
 	env.Run()
 }
 
+// BenchmarkBrokerOverloaded replays an overloaded stream (60 s mean
+// inter-arrival, several times the fleet's capacity) through a FIFO fair
+// broker in logical time. The queue grows to thousands of jobs, so the
+// op is dominated by dispatch: queue pops, compaction and fleet
+// snapshots. One op is a whole replay, long enough to read at
+// -benchtime=1x.
+func BenchmarkBrokerOverloaded(b *testing.B) {
+	cfg := job.DefaultSyntheticConfig()
+	cfg.N = 4000
+	cfg.Seed = 4
+	cfg.MeanInterarrival = 60
+	jobs, err := job.Synthetic(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		env := sim.NewEnvironment()
+		br, err := newBenchBroker(env, policy.Fair{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		peak := 0
+		for _, j := range jobs {
+			if j.ArrivalTime > env.Now() {
+				env.AdvanceTo(j.ArrivalTime)
+			}
+			br.Admit(j)
+			peak = max(peak, br.QueueDepth())
+		}
+		if _, err := br.Drain(); err != nil {
+			b.Fatal(err)
+		}
+		if i == 0 {
+			b.ReportMetric(float64(peak), "peak_depth")
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(jobs)), "ns/job")
+}
+
 // BenchmarkApportion measures the allocation apportionment hot path.
 func BenchmarkApportion(b *testing.B) {
 	weights := []float64{220000, 220000, 30000, 32000, 29000}

@@ -88,7 +88,8 @@ func (b *Broker) Checkpoint() (*Checkpoint, error) {
 		Finished:  b.finished,
 		Admission: b.admStats,
 	}
-	for _, pj := range b.pending {
+	for i := 0; i < b.pending.Len(); i++ {
+		pj := b.pending.At(i)
 		cp.Pending = append(cp.Pending, CheckpointPending{Arrival: pj.arrival, Job: *pj.j})
 	}
 	if len(b.buckets) > 0 {
@@ -128,7 +129,7 @@ func (b *Broker) Restore(cp *Checkpoint) error {
 	if cp.Version != CheckpointVersion {
 		return fmt.Errorf("core: checkpoint version %d, want %d", cp.Version, CheckpointVersion)
 	}
-	if b.admitted != 0 || b.finished != 0 || b.active != 0 || len(b.pending) != 0 {
+	if b.admitted != 0 || b.finished != 0 || b.active != 0 || b.pending.Len() != 0 {
 		return fmt.Errorf("core: restore requires a fresh broker")
 	}
 	if now := b.env.Now(); now != cp.SimNow {
@@ -175,7 +176,7 @@ func (b *Broker) Restore(cp *Checkpoint) error {
 		j := p.Job
 		b.inflight[tenantKey(j.Tenant)]++
 		b.rec.Arrival(&j, p.Arrival)
-		b.pending = append(b.pending, pendingJob{j: &j, arrival: p.Arrival})
+		b.pending.Push(pendingJob{j: &j, arrival: p.Arrival})
 	}
 	b.dispatch()
 	return nil

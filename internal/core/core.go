@@ -92,7 +92,7 @@ type QCloud struct {
 	pol     policy.Policy
 	rec     *records.Manager
 	cfg     Config
-	pending []*job.QJob
+	pending fifo[*job.QJob]
 
 	// lifecycle tracking for auxiliary processes (calibration drift).
 	workloadSubmitted bool
@@ -135,13 +135,13 @@ func (c *QCloud) Devices() []*device.Device { return c.devices }
 func (c *QCloud) Policy() policy.Policy { return c.pol }
 
 // PendingJobs returns the number of jobs waiting for allocation.
-func (c *QCloud) PendingJobs() int { return len(c.pending) }
+func (c *QCloud) PendingJobs() int { return c.pending.Len() }
 
 // States snapshots the fleet for a policy decision.
 func (c *QCloud) States() []policy.DeviceState {
 	out := make([]policy.DeviceState, len(c.devices))
 	for i, d := range c.devices {
-		snap := d.Calibration()
+		eps1Q, eps2Q, epsRO := d.MeanErrors()
 		out[i] = policy.DeviceState{
 			Index:       i,
 			Name:        d.Name(),
@@ -150,9 +150,9 @@ func (c *QCloud) States() []policy.DeviceState {
 			ErrorScore:  d.ErrorScore(),
 			CLOPS:       d.CLOPS(),
 			Utilization: d.Utilization(),
-			Eps1Q:       snap.MeanSingleQubitError(),
-			Eps2Q:       snap.MeanTwoQubitError(),
-			EpsRO:       snap.MeanReadoutError(),
+			Eps1Q:       eps1Q,
+			Eps2Q:       eps2Q,
+			EpsRO:       epsRO,
 		}
 	}
 	return out
@@ -198,7 +198,7 @@ func (e *QCloudSimEnv) EnableCalibrationDrift(interval, rel float64, seed int64)
 	e.Env.NamedProcess("calibration-drift", func(p *sim.Proc) any {
 		for {
 			p.Sleep(interval)
-			if cloud.generatorDone && len(cloud.pending) == 0 && cloud.activeJobs == 0 {
+			if cloud.generatorDone && cloud.pending.Len() == 0 && cloud.activeJobs == 0 {
 				return nil
 			}
 			for _, d := range cloud.devices {
@@ -213,7 +213,7 @@ func (e *QCloudSimEnv) EnableCalibrationDrift(interval, rel float64, seed int64)
 
 // submit enqueues a job and attempts dispatch.
 func (c *QCloud) submit(j *job.QJob) {
-	c.pending = append(c.pending, j)
+	c.pending.Push(j)
 	c.dispatch()
 }
 
@@ -225,15 +225,15 @@ func (c *QCloud) submit(j *job.QJob) {
 func (c *QCloud) dispatch() {
 	for {
 		placedAny := false
-		for idx := 0; idx < len(c.pending); idx++ {
-			j := c.pending[idx]
+		for idx := 0; idx < c.pending.Len(); idx++ {
+			j := c.pending.At(idx)
 			states := c.States()
 			allocs := c.pol.Allocate(j, states)
 			if allocs != nil {
 				if err := policy.Validate(j, states, allocs); err != nil {
 					panic(fmt.Sprintf("core: policy %q produced invalid allocation: %v", c.pol.Name(), err))
 				}
-				c.pending = append(c.pending[:idx], c.pending[idx+1:]...)
+				c.pending.RemoveAt(idx)
 				c.startJob(j, allocs)
 				placedAny = true
 				break
@@ -305,14 +305,9 @@ func (c *QCloud) jobFidelity(j *job.QJob, allocs []policy.Allocation) float64 {
 	fids := make([]float64, len(allocs))
 	qubits := make([]int, len(allocs))
 	for i, a := range allocs {
-		snap := c.devices[a.DeviceIndex].Calibration()
+		eps1Q, eps2Q, epsRO := c.devices[a.DeviceIndex].MeanErrors()
 		t2i := int(math.Round(float64(j.TwoQubitGates) * float64(a.Qubits) / float64(j.NumQubits)))
-		fids[i] = metrics.PartitionFidelity(
-			snap.MeanSingleQubitError(),
-			snap.MeanTwoQubitError(),
-			snap.MeanReadoutError(),
-			j.Depth, a.Qubits, t2i,
-		)
+		fids[i] = metrics.PartitionFidelity(eps1Q, eps2Q, epsRO, j.Depth, a.Qubits, t2i)
 		qubits[i] = a.Qubits
 	}
 	return metrics.FinalFidelity(fids, qubits, c.cfg.Phi)

@@ -235,7 +235,7 @@ type Broker struct {
 	rec     StreamRecorder
 	windows *metrics.TenantWindows
 
-	pending []pendingJob
+	pending fifo[pendingJob]
 	runPool []*jobRun
 	states  []policy.DeviceState
 	seen    []bool
@@ -370,7 +370,7 @@ func (b *Broker) Windows() *metrics.TenantWindows { return b.windows }
 func (b *Broker) Policy() policy.Policy { return b.pol }
 
 // QueueDepth returns the number of admitted jobs waiting for placement.
-func (b *Broker) QueueDepth() int { return len(b.pending) }
+func (b *Broker) QueueDepth() int { return b.pending.Len() }
 
 // Active returns the number of jobs currently executing.
 func (b *Broker) Active() int { return b.active }
@@ -384,7 +384,7 @@ func (b *Broker) Finished() int { return b.finished }
 
 // Quiescent reports whether no job is executing or awaiting placement —
 // the state in which a checkpoint can be taken.
-func (b *Broker) Quiescent() bool { return b.active == 0 && len(b.pending) == 0 }
+func (b *Broker) Quiescent() bool { return b.active == 0 && b.pending.Len() == 0 }
 
 // Admit injects one job into the broker at the current simulation time,
 // bypassing admission control. The caller (the serve loop) is
@@ -398,7 +398,7 @@ func (b *Broker) Admit(j *job.QJob) {
 	b.admitted++
 	b.inflight[tenantKey(j.Tenant)]++
 	b.rec.Arrival(j, now)
-	b.pending = append(b.pending, pendingJob{j: j, arrival: now})
+	b.pending.Push(pendingJob{j: j, arrival: now})
 	b.dispatch()
 }
 
@@ -429,15 +429,14 @@ func (b *Broker) Offer(j *job.QJob) Decision {
 	}
 	switch b.admission.Policy {
 	case AdmitReject:
-		if len(b.pending) >= b.admission.MaxQueue {
+		if b.pending.Len() >= b.admission.MaxQueue {
 			b.admStats.RejectedQueueFull++
 			b.rec.Drop(j, now, DropQueueFull)
 			return Decision{Reason: DropQueueFull, RetryAfterS: b.admission.RetryAfterS}
 		}
 	case AdmitShed:
-		if len(b.pending) >= b.admission.MaxQueue {
-			shed := b.pending[0]
-			b.pending = append(b.pending[:0], b.pending[1:]...)
+		if b.pending.Len() >= b.admission.MaxQueue {
+			shed := b.pending.RemoveAt(0)
 			b.inflight[tenantKey(shed.j.Tenant)]--
 			b.admStats.Shed++
 			b.rec.Drop(shed.j, now, DropShed)
@@ -461,7 +460,7 @@ func (b *Broker) Offer(j *job.QJob) Decision {
 func (b *Broker) statesInto() []policy.DeviceState {
 	out := b.states[:len(b.devices)]
 	for i, d := range b.devices {
-		snap := d.Calibration()
+		eps1Q, eps2Q, epsRO := d.MeanErrors()
 		out[i] = policy.DeviceState{
 			Index:       i,
 			Name:        d.Name(),
@@ -470,9 +469,9 @@ func (b *Broker) statesInto() []policy.DeviceState {
 			ErrorScore:  d.ErrorScore(),
 			CLOPS:       d.CLOPS(),
 			Utilization: d.Utilization(),
-			Eps1Q:       snap.MeanSingleQubitError(),
-			Eps2Q:       snap.MeanTwoQubitError(),
-			EpsRO:       snap.MeanReadoutError(),
+			Eps1Q:       eps1Q,
+			Eps2Q:       eps2Q,
+			EpsRO:       epsRO,
 		}
 	}
 	return out
@@ -522,13 +521,13 @@ func (b *Broker) validate(j *job.QJob, states []policy.DeviceState, allocs []pol
 func (b *Broker) dispatch() {
 	for {
 		placedAny := false
-		for idx := 0; idx < len(b.pending); idx++ {
-			pj := b.pending[idx]
+		for idx := 0; idx < b.pending.Len(); idx++ {
+			pj := b.pending.At(idx)
 			states := b.statesInto()
 			allocs := b.pol.Allocate(pj.j, states)
 			if allocs != nil {
 				b.validate(pj.j, states, allocs)
-				b.pending = append(b.pending[:idx], b.pending[idx+1:]...)
+				b.pending.RemoveAt(idx)
 				b.start(pj, allocs)
 				placedAny = true
 				break
@@ -652,14 +651,9 @@ func (jr *jobRun) fidelity() float64 {
 	fids := jr.fids[:0]
 	qubits := jr.qubits[:0]
 	for _, a := range jr.allocs {
-		snap := b.devices[a.DeviceIndex].Calibration()
+		eps1Q, eps2Q, epsRO := b.devices[a.DeviceIndex].MeanErrors()
 		t2i := int(math.Round(float64(j.TwoQubitGates) * float64(a.Qubits) / float64(j.NumQubits)))
-		fids = append(fids, metrics.PartitionFidelity(
-			snap.MeanSingleQubitError(),
-			snap.MeanTwoQubitError(),
-			snap.MeanReadoutError(),
-			j.Depth, a.Qubits, t2i,
-		))
+		fids = append(fids, metrics.PartitionFidelity(eps1Q, eps2Q, epsRO, j.Depth, a.Qubits, t2i))
 		qubits = append(qubits, a.Qubits)
 	}
 	jr.fids, jr.qubits = fids, qubits
@@ -671,7 +665,7 @@ func (jr *jobRun) fidelity() float64 {
 // service-mode analogue of QCloudSimEnv.Run's completeness check.
 func (b *Broker) Drain() (float64, error) {
 	end := b.env.Run()
-	if n := len(b.pending); n > 0 {
+	if n := b.pending.Len(); n > 0 {
 		return end, fmt.Errorf("core: %d admitted jobs unplaceable under policy %q", n, b.pol.Name())
 	}
 	return end, nil

@@ -450,6 +450,55 @@ func TestBrokerSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
+// deepQueueCycle admits one job and runs the event core until one job
+// completes, so the queue keeps its depth while its head advances.
+func deepQueueCycle(tb testing.TB, b *Broker, j *job.QJob) {
+	done := b.Finished()
+	b.Admit(j)
+	for b.Finished() == done {
+		if err := b.Env().Step(); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// An overloaded broker pops its queue head and periodically compacts the
+// queue on every placement; both must stay allocation-free once the
+// backing array has reached the queue's peak depth.
+func TestBrokerDeepQueueAllocFree(t *testing.T) {
+	const depth = 1024
+	b := newSteadyStateBroker(t)
+	// 400 of the fleet's 635 qubits: one job executes at a time and the
+	// rest wait.
+	j := &job.QJob{ID: "deep", NumQubits: 400, Depth: 10, Shots: 20000, TwoQubitGates: 1000}
+	for i := 0; i <= depth; i++ {
+		b.Admit(j)
+	}
+	// Warm up through two compaction cycles (one per depth placements).
+	for i := 0; i < 2*depth; i++ {
+		deepQueueCycle(t, b, j)
+	}
+	// One op is depth placements, which hold exactly one compaction:
+	// AllocsPerRun truncates to whole allocations per op, so a per-cycle
+	// op would hide an allocation made once per compaction.
+	const runs = 3
+	moves := b.pending.moves
+	avg := testing.AllocsPerRun(runs, func() {
+		for i := 0; i < depth; i++ {
+			deepQueueCycle(t, b, j)
+		}
+	})
+	if avg != 0 {
+		t.Fatalf("deep-queue broker allocates %.2f times per %d placements, want 0", avg, depth)
+	}
+	if b.QueueDepth() != depth {
+		t.Fatalf("queue depth drifted to %d, want %d", b.QueueDepth(), depth)
+	}
+	if got := b.pending.moves - moves; got < runs*depth {
+		t.Fatalf("measured loop moved %d queue elements, want at least %d %d-element compactions", got, runs, depth)
+	}
+}
+
 // BenchmarkBrokerSteadyState measures one full admit→complete broker
 // cycle; CI greps its -benchmem output for "0 allocs/op".
 func BenchmarkBrokerSteadyState(b *testing.B) {

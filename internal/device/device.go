@@ -59,6 +59,9 @@ type Device struct {
 	clops     float64
 	qv        float64
 	score     float64
+	// eps1Q, eps2Q and epsRO cache the snapshot's mean error rates,
+	// recomputed with score whenever the snapshot is replaced.
+	eps1Q, eps2Q, epsRO float64
 
 	// strict enables explicit connected-subgraph allocation instead of
 	// the paper's black-box abstraction.
@@ -102,11 +105,10 @@ func New(env *sim.Environment, topo *graph.Graph, snap *calib.Snapshot, clops, q
 		env:       env,
 		container: env.NewContainer(float64(n), float64(n)),
 		topo:      topo,
-		snapshot:  snap,
 		clops:     clops,
 		qv:        quantumVolume,
-		score:     calib.ErrorScore(snap, calib.DefaultWeights),
 	}
+	d.setCalibration(snap)
 	for _, o := range opts {
 		o(d)
 	}
@@ -131,7 +133,9 @@ func (d *Device) FreeQubits() int { return int(d.container.Level()) }
 // Topology returns the coupling map.
 func (d *Device) Topology() *graph.Graph { return d.topo }
 
-// Calibration returns the device's calibration snapshot.
+// Calibration returns the device's calibration snapshot. Treat it as
+// read-only: the error score and mean error rates are derived from it
+// when it is installed; replace it through Recalibrate.
 func (d *Device) Calibration() *calib.Snapshot { return d.snapshot }
 
 // CLOPS returns the device's circuit-layer-operations-per-second rating.
@@ -142,6 +146,13 @@ func (d *Device) QuantumVolume() float64 { return d.qv }
 
 // ErrorScore returns the Eq. 2 error score (lower is better).
 func (d *Device) ErrorScore() float64 { return d.score }
+
+// MeanErrors returns the calibration snapshot's mean single-qubit,
+// two-qubit and readout error rates (ε̄_1Q, ε̄_2Q, ε̄_RO), cached when the
+// snapshot was installed so hot paths do not re-average every qubit.
+func (d *Device) MeanErrors() (eps1Q, eps2Q, epsRO float64) {
+	return d.eps1Q, d.eps2Q, d.epsRO
+}
 
 // JobsRun returns the number of sub-jobs executed so far.
 func (d *Device) JobsRun() int { return d.jobsRun }
@@ -314,8 +325,9 @@ func (d *Device) freeList() []int {
 }
 
 // Recalibrate replaces the device's calibration snapshot (e.g. after a
-// simulated calibration job) and recomputes the error score. The new
-// snapshot must be valid and match the device's qubit count.
+// simulated calibration job) and recomputes the error score and mean
+// error rates. The new snapshot must be valid and match the device's
+// qubit count.
 func (d *Device) Recalibrate(snap *calib.Snapshot) error {
 	if err := snap.Validate(); err != nil {
 		return err
@@ -324,9 +336,18 @@ func (d *Device) Recalibrate(snap *calib.Snapshot) error {
 		return fmt.Errorf("device %s: recalibration has %d qubits, device has %d",
 			d.name, snap.NumQubits(), d.NumQubits())
 	}
+	d.setCalibration(snap)
+	return nil
+}
+
+// setCalibration installs a validated snapshot and recomputes the
+// values derived from it.
+func (d *Device) setCalibration(snap *calib.Snapshot) {
 	d.snapshot = snap
 	d.score = calib.ErrorScore(snap, calib.DefaultWeights)
-	return nil
+	d.eps1Q = snap.MeanSingleQubitError()
+	d.eps2Q = snap.MeanTwoQubitError()
+	d.epsRO = snap.MeanReadoutError()
 }
 
 // ProcessTime returns the Eq. 3 execution time of a sub-job with the

@@ -268,3 +268,39 @@ func TestFleetDeterministicAcrossSeeds(t *testing.T) {
 		t.Fatal("different seeds should give different calibration")
 	}
 }
+
+// MeanErrors must return exactly the snapshot's means — the cache may
+// not change a single bit of any fidelity or policy input — both at
+// construction and after each drift recalibration.
+func TestMeanErrorsCacheMatchesSnapshot(t *testing.T) {
+	_, d := testDevice(t)
+	check := func(stage string) {
+		t.Helper()
+		snap := d.Calibration()
+		e1, e2, ro := d.MeanErrors()
+		for _, c := range []struct {
+			name      string
+			got, want float64
+		}{
+			{"single-qubit", e1, snap.MeanSingleQubitError()},
+			{"two-qubit", e2, snap.MeanTwoQubitError()},
+			{"readout", ro, snap.MeanReadoutError()},
+		} {
+			if math.Float64bits(c.got) != math.Float64bits(c.want) {
+				t.Fatalf("%s: cached %s mean %v, snapshot mean %v", stage, c.name, c.got, c.want)
+			}
+		}
+	}
+	check("after New")
+	rng := rand.New(rand.NewSource(8))
+	for step := 0; step < 5; step++ {
+		before, _, _ := d.MeanErrors()
+		if err := d.Recalibrate(calib.Drift(rng, d.Calibration(), 0.2)); err != nil {
+			t.Fatal(err)
+		}
+		check("after Recalibrate")
+		if after, _, _ := d.MeanErrors(); after == before {
+			t.Fatalf("step %d: drift left the cached single-qubit mean unchanged", step)
+		}
+	}
+}
