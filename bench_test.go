@@ -680,6 +680,26 @@ func BenchmarkMLPForwardBackwardBatch(b *testing.B) {
 		m.BackwardBatch(ws)
 	}
 	b.ReportMetric(batch, "samples/op")
+	reportMACs(b, 3*batch*denseMACs(m.Sizes))
+}
+
+// denseMACs is the multiply-add count of one sample's forward pass
+// through an MLP with the given layer sizes.
+func denseMACs(sizes []int) int {
+	n := 0
+	for l := 1; l < len(sizes); l++ {
+		n += sizes[l-1] * sizes[l]
+	}
+	return n
+}
+
+// reportMACs reports the kernel work of one op and the rate it ran at,
+// so the bench trend tracks kernel throughput and not only ns/op. A
+// batched gradient step over n samples costs 3·n·denseMACs: the forward
+// pass, the weight gradient and the input gradient.
+func reportMACs(b *testing.B, perOp int) {
+	b.ReportMetric(float64(perOp), "MACs/op")
+	b.ReportMetric(float64(perOp)*float64(b.N)/b.Elapsed().Seconds(), "MAC/s")
 }
 
 // BenchmarkPPOMinibatch measures the PPO update path on the gym
@@ -712,6 +732,8 @@ func BenchmarkPPOMinibatch(b *testing.B) {
 		agent.Update()
 	}
 	b.ReportMetric(float64(cfg.NSteps/cfg.BatchSize), "minibatches/op")
+	pol := agent.Policy
+	reportMACs(b, cfg.NEpochs*3*cfg.NSteps*(denseMACs(pol.Actor.Sizes)+denseMACs(pol.Critic.Sizes)))
 }
 
 // BenchmarkPolicyInference measures deployed single-sample action

@@ -1,7 +1,9 @@
 package nn
 
 import (
+	"math"
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -225,6 +227,212 @@ func TestBatchKernelsMatchVectorForms(t *testing.T) {
 		for i := range ref.Data {
 			if acc.Data[i] != ref.Data[i] {
 				t.Fatalf("AddOuterBatch entry %d: %g != %g", i, acc.Data[i], ref.Data[i])
+			}
+		}
+	}
+}
+
+func randMat(rng *rand.Rand, rows, cols int) *Mat {
+	m := NewMat(rows, cols)
+	for i := range m.Data {
+		m.Data[i] = rng.NormFloat64()
+	}
+	return m
+}
+
+// deadZeros writes exact zeros of either sign into a B×N gradient
+// matrix the way training produces them: whole sample rows (a clipped
+// PPO sample backpropagates nothing) and scattered entries (dead ReLU
+// units).
+func deadZeros(rng *rand.Rand, g *Mat) {
+	zero := func() float64 {
+		if rng.Intn(2) == 0 {
+			return math.Copysign(0, -1)
+		}
+		return 0
+	}
+	for b := 0; b < g.Rows; b++ {
+		row := g.Row(b)
+		if rng.Intn(5) == 0 {
+			for i := range row {
+				row[i] = zero()
+			}
+			continue
+		}
+		for i := range row {
+			if rng.Intn(4) == 0 {
+				row[i] = zero()
+			}
+		}
+	}
+}
+
+// assertSameBits fails unless got and want hold the same bit patterns,
+// so -0 against +0 and NaN against NaN are told apart.
+func assertSameBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s[%d] = %g (%#x), want %g (%#x)", what, i,
+				got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+		}
+	}
+}
+
+// checkBatchKernels compares MulMatT, MulMat and AddOuterBatch with B
+// calls of MulVec, MulVecT and AddOuter, bit for bit. acc is the matrix
+// AddOuterBatch accumulates into; it is left holding the result.
+func checkBatchKernels(t *testing.T, w, x, g, acc *Mat) {
+	t.Helper()
+	batch := x.Rows
+	fwd := NewMat(batch, w.Rows)
+	w.MulMatT(x, fwd)
+	bwd := NewMat(batch, w.Cols)
+	w.MulMat(g, bwd)
+	ref := acc.Clone()
+	acc.AddOuterBatch(g, x)
+	for b := 0; b < batch; b++ {
+		assertSameBits(t, "MulMatT row", fwd.Row(b), w.MulVec(x.Row(b)))
+		assertSameBits(t, "MulMat row", bwd.Row(b), w.MulVecT(g.Row(b)))
+		ref.AddOuter(g.Row(b), x.Row(b))
+	}
+	assertSameBits(t, "AddOuterBatch", acc.Data, ref.Data)
+}
+
+// TestBatchKernelsBitIdenticalAtRealShapes pins the blocked kernels to
+// the vector forms at the production layer shapes (16-64-64-5 actor,
+// 16-64-64-1 critic, minibatch 64 and an 8-sample tail) and at random
+// shapes up to 70 wide, odd sizes included, so every tile remainder
+// runs. Gradients carry exact ±0 entries, and AddOuterBatch starts from
+// a non-zero matrix that also holds some -0 entries.
+func TestBatchKernelsBitIdenticalAtRealShapes(t *testing.T) {
+	rng := rand.New(rand.NewSource(505))
+	shapes := [][3]int{ // rows, cols, batch
+		{64, 16, 64}, {64, 64, 64}, {5, 64, 64}, {1, 64, 64},
+		{64, 16, 8}, {64, 64, 8}, {5, 64, 8}, {1, 64, 8},
+	}
+	for trial := 0; trial < 150; trial++ {
+		rows, cols, batch := 1+rng.Intn(70), 1+rng.Intn(70), 1+rng.Intn(70)
+		if trial < len(shapes) {
+			rows, cols, batch = shapes[trial][0], shapes[trial][1], shapes[trial][2]
+		}
+		g := randMat(rng, batch, rows)
+		deadZeros(rng, g)
+		acc := randMat(rng, rows, cols)
+		if trial%2 == 1 {
+			for i := range acc.Data {
+				if rng.Intn(8) == 0 {
+					acc.Data[i] = math.Copysign(0, -1)
+				}
+			}
+		}
+		checkBatchKernels(t, randMat(rng, rows, cols), randMat(rng, batch, cols), g, acc)
+	}
+}
+
+// TestBatchKernelsSkipZerosBesideNonFinite covers the inputs where the
+// vector forms' zero skip is observable: a zero gradient entry meeting
+// an infinite or NaN weight or input (0·Inf is NaN, a skipped term is
+// not), and an accumulator entry of -0 (-0 + +0 is +0).
+func TestBatchKernelsSkipZerosBesideNonFinite(t *testing.T) {
+	rng := rand.New(rand.NewSource(606))
+	bad := []float64{math.Inf(1), math.Inf(-1), math.NaN()}
+	for trial := 0; trial < 60; trial++ {
+		rows, cols, batch := 1+rng.Intn(9), 1+rng.Intn(9), 1+rng.Intn(9)
+		w := randMat(rng, rows, cols)
+		x := randMat(rng, batch, cols)
+		g := randMat(rng, batch, rows)
+		deadZeros(rng, g)
+		switch trial % 3 {
+		case 0:
+			w.Data[rng.Intn(len(w.Data))] = bad[rng.Intn(len(bad))]
+		case 1:
+			x.Data[rng.Intn(len(x.Data))] = bad[rng.Intn(len(bad))]
+		}
+		acc := NewMat(rows, cols)
+		for i := range acc.Data {
+			acc.Data[i] = math.Copysign(0, -1)
+		}
+		checkBatchKernels(t, w, x, g, acc)
+	}
+}
+
+// TestWorkspacesConfinedAcrossGoroutines runs two goroutines, each with
+// its own MLP clone and Workspace, through ForwardBatch/BackwardBatch at
+// the production shapes, and checks outputs, input gradients and
+// parameter gradients against a per-sample run bit for bit. Under
+// -race it also fails if the kernels share scratch between workspaces.
+func TestWorkspacesConfinedAcrossGoroutines(t *testing.T) {
+	rng := rand.New(rand.NewSource(707))
+	base := NewMLP(rng, Tanh, 16, 64, 64, 5)
+	const batch = 64
+	sizes := []int{batch, 8, batch, 37} // full and tail minibatches
+	type data struct{ x, dOut *Mat }
+	inputs := make([][]data, 2)
+	for k := range inputs {
+		for _, n := range sizes {
+			inputs[k] = append(inputs[k], data{randMat(rng, n, 16), randMat(rng, n, 5)})
+		}
+	}
+
+	// Per-sample reference, one goroutine's inputs at a time.
+	type result struct{ out, dIn, grads [][]float64 }
+	want := make([][]result, 2)
+	for k := range inputs {
+		m := base.Clone()
+		for _, d := range inputs[k] {
+			m.ZeroGrad()
+			var r result
+			for b := 0; b < d.x.Rows; b++ {
+				r.out = append(r.out, append([]float64(nil), m.Forward(d.x.Row(b))...))
+				r.dIn = append(r.dIn, append([]float64(nil), m.Backward(d.dOut.Row(b))...))
+			}
+			_, grads := m.Params()
+			for _, g := range grads {
+				r.grads = append(r.grads, append([]float64(nil), g...))
+			}
+			want[k] = append(want[k], r)
+		}
+	}
+
+	got := make([][]result, 2)
+	var wg sync.WaitGroup
+	for k := range inputs {
+		m := base.Clone()
+		ws := NewWorkspace(m, batch)
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			for _, d := range inputs[k] {
+				m.ZeroGrad()
+				copy(ws.Input(d.x.Rows).Data, d.x.Data)
+				var r result
+				out := m.ForwardBatch(ws)
+				copy(ws.OutputGrad().Data, d.dOut.Data)
+				dIn := m.BackwardBatch(ws)
+				for b := 0; b < d.x.Rows; b++ {
+					r.out = append(r.out, append([]float64(nil), out.Row(b)...))
+					r.dIn = append(r.dIn, append([]float64(nil), dIn.Row(b)...))
+				}
+				_, grads := m.Params()
+				for _, g := range grads {
+					r.grads = append(r.grads, append([]float64(nil), g...))
+				}
+				got[k] = append(got[k], r)
+			}
+		}(k)
+	}
+	wg.Wait()
+
+	for k := range want {
+		for i, w := range want[k] {
+			g := got[k][i]
+			for b := range w.out {
+				assertSameBits(t, "output row", g.out[b], w.out[b])
+				assertSameBits(t, "input gradient row", g.dIn[b], w.dIn[b])
+			}
+			for p := range w.grads {
+				assertSameBits(t, "parameter gradient", g.grads[p], w.grads[p])
 			}
 		}
 	}

@@ -4,14 +4,22 @@
 // persistence. It replaces the PyTorch stack underneath Stable-Baselines3
 // in the original implementation, using only the standard library.
 //
-// The compute core is batched and allocation-free: Mat.MulMatT /
-// Mat.MulMat / Mat.AddOuterBatch process whole minibatches while
-// preserving the per-sample accumulation order (batched results are
-// bit-identical to the single-vector path), and caller-owned Workspace
-// buffers let MLP.ForwardBatch / MLP.BackwardBatch run entire
-// minibatches with zero allocations in steady state. A Workspace
-// belongs to one goroutine; ForwardBatch never mutates MLP state, so
-// one model can serve concurrent forward passes.
+// The compute core is batched and allocation-free. Mat.MulMatT,
+// Mat.MulMat and Mat.AddOuterBatch run one register-blocked kernel:
+// operands are laid out (transposed where needed) so both stream
+// contiguously along the reduction axis, and outputs are computed in
+// 2×2 tiles of independent accumulators. Blocking changes only how many
+// sums are live at once. Every output element keeps the exact
+// arithmetic of its single-vector form (MulVec, MulVecT, AddOuter): the
+// same initial value (+0, or the existing gradient entry), the same
+// addends in the same order (columns, rows or samples ascending), the
+// same zero-gradient skip, and no fused multiply-add, so batched
+// results are bit-identical to the per-sample path. Caller-owned
+// Workspace buffers, transpose scratch included, let MLP.ForwardBatch /
+// MLP.BackwardBatch run entire minibatches with zero allocations in
+// steady state. A Workspace belongs to one goroutine; ForwardBatch
+// never mutates MLP state, so one model can serve concurrent forward
+// passes.
 package nn
 
 import (
@@ -122,47 +130,220 @@ func (m *Mat) MulVecTInto(g, out []float64) {
 }
 
 // MulMatT computes out = x · mᵀ — the batched form of MulVec, with the
-// receiver as the weight matrix: row b of out is m · (row b of x). The
-// per-row dot products accumulate over columns in the same order as
-// MulVec, so a batch of B rows produces bit-identical results to B
-// single-sample calls. Shapes: x is B×Cols, out is B×Rows.
+// receiver as the weight matrix: row b of out is m · (row b of x).
+// Shapes: x is B×Cols, out is B×Rows. Every output element is the
+// MulVec dot product (+0, then columns ascending), so a batch of B rows
+// is bit-identical to B single-sample calls.
+//
+//repro:noalloc
 func (m *Mat) MulMatT(x, out *Mat) {
 	if x.Cols != m.Cols || out.Cols != m.Rows || out.Rows != x.Rows {
 		panic(fmt.Sprintf("nn: MulMatT shape mismatch: %dx%d · (%dx%d)ᵀ -> %dx%d",
 			x.Rows, x.Cols, m.Rows, m.Cols, out.Rows, out.Cols))
 	}
-	for b := 0; b < x.Rows; b++ {
-		m.MulVecInto(x.Row(b), out.Row(b))
-	}
+	dotRows(x, m, out, false)
 }
 
 // MulMat computes out = g · m — the batched form of MulVecT, with the
 // receiver as the weight matrix: row b of out is mᵀ · (row b of g).
-// Shapes: g is B×Rows, out is B×Cols. Accumulation order per row
-// matches MulVecT exactly (rows ascending, zero entries skipped).
+// Shapes: g is B×Rows, out is B×Cols. Every output element matches
+// MulVecT exactly (+0, then rows ascending, zero entries of g skipped).
+// It allocates the Rows×Cols transpose of m; MLP.BackwardBatch runs the
+// same kernel on Workspace-owned scratch.
 func (m *Mat) MulMat(g, out *Mat) {
+	m.mulMat(g, out, make([]float64, m.Rows*m.Cols))
+}
+
+// mulMat is MulMat with caller-owned scratch of at least Rows×Cols.
+//
+//repro:noalloc
+func (m *Mat) mulMat(g, out *Mat, scratch []float64) {
 	if g.Cols != m.Rows || out.Cols != m.Cols || out.Rows != g.Rows {
 		panic(fmt.Sprintf("nn: MulMat shape mismatch: %dx%d · %dx%d -> %dx%d",
 			g.Rows, g.Cols, m.Rows, m.Cols, out.Rows, out.Cols))
 	}
-	for b := 0; b < g.Rows; b++ {
-		m.MulVecTInto(g.Row(b), out.Row(b))
+	mt, finite := transposeInto(m, scratch)
+	// A skipped term would have added w·0 = ±0 to a sum that started at
+	// +0. Under round-to-nearest such a sum is never -0, and adding ±0
+	// to anything else leaves it unchanged, so for finite weights the
+	// skip cannot change a bit. A non-finite weight makes w·0 NaN.
+	if finite {
+		dotRows(g, &mt, out, false)
+	} else {
+		dotRowsSkip(g, &mt, out, false)
 	}
 }
 
 // AddOuterBatch accumulates Σ_b g[b] ⊗ x[b] into the matrix — the
 // batched form of AddOuter for a dense layer's weight gradient over a
-// minibatch. Samples are applied in row order, so every matrix entry
-// receives its per-sample contributions in exactly the order B separate
-// AddOuter calls would apply them: the accumulated gradient is
-// bit-identical to the per-sample path. Shapes: g is B×Rows, x is
-// B×Cols.
+// minibatch. Every entry starts from its current value and receives its
+// per-sample contributions in row order, zero entries of g skipped,
+// exactly as B separate AddOuter calls would apply them. Shapes: g is
+// B×Rows, x is B×Cols. It allocates transposes of g and x;
+// MLP.BackwardBatch runs the same kernel on Workspace-owned scratch.
 func (m *Mat) AddOuterBatch(g, x *Mat) {
+	m.addOuterBatch(g, x, make([]float64, g.Rows*(m.Rows+m.Cols)))
+}
+
+// addOuterBatch is AddOuterBatch with caller-owned scratch of at least
+// B×(Rows+Cols).
+//
+//repro:noalloc
+func (m *Mat) addOuterBatch(g, x *Mat, scratch []float64) {
 	if g.Cols != m.Rows || x.Cols != m.Cols || g.Rows != x.Rows {
 		panic("nn: AddOuterBatch shape mismatch")
 	}
-	for b := 0; b < g.Rows; b++ {
-		m.AddOuter(g.Row(b), x.Row(b))
+	gt, _ := transposeInto(g, scratch)
+	xt, finite := transposeInto(x, scratch[len(gt.Data):])
+	// As in mulMat, a skipped term would add ±0; that leaves every sum
+	// unchanged unless x holds a non-finite value or the sum starts
+	// at -0 (-0 + +0 is +0).
+	if finite && !hasNegZero(m.Data) {
+		dotRows(&gt, &xt, m, true)
+	} else {
+		dotRowsSkip(&gt, &xt, m, true)
+	}
+}
+
+// transposeInto writes the transpose of src into the front of dst and
+// returns it as a Cols×Rows view, reporting whether every element is
+// finite.
+//
+//repro:noalloc
+func transposeInto(src *Mat, dst []float64) (t Mat, finite bool) {
+	rows, cols := src.Rows, src.Cols
+	t = Mat{Rows: cols, Cols: rows, Data: dst[:rows*cols]}
+	finite = true
+	for c := 0; c < cols; c++ {
+		// Contiguous writes, strided reads: the cheaper direction.
+		col, s := t.Data[c*rows:(c+1)*rows], src.Data[c:]
+		for r := range col {
+			v := s[r*cols]
+			col[r] = v
+			if v-v != 0 { // Inf or NaN
+				finite = false
+			}
+		}
+	}
+	return t, finite
+}
+
+// hasNegZero reports whether v holds a negative zero.
+func hasNegZero(v []float64) bool {
+	for _, x := range v {
+		if x == 0 && math.Signbit(x) {
+			return true
+		}
+	}
+	return false
+}
+
+// dotRows sets out[i][j] = s + Σ_k bt[j][k]·a[i][k], summed in
+// ascending k, where s is +0, or out[i][j]'s current value when
+// accumulate is set. a is I×K, bt is J×K and out is I×J, so both
+// operands stream contiguously along the reduction axis. Outputs are
+// computed in 2×2 tiles of independent accumulators: each (a, bt) load
+// pair feeds four multiply-adds, and four dependency chains hide the
+// floating-point add latency that bounds a single dot product. Blocking
+// changes only how many sums are live at once; each sum still sees the
+// same addends in the same order, so it is bit-identical to the
+// one-element loop.
+//
+//repro:noalloc
+func dotRows(a, bt, out *Mat, accumulate bool) {
+	k, nj := a.Cols, bt.Rows
+	i := 0
+	for ; i+2 <= a.Rows; i += 2 {
+		a0 := a.Data[i*k : (i+1)*k]
+		a1 := a.Data[(i+1)*k : (i+2)*k][:len(a0)]
+		o0 := out.Data[i*nj : (i+1)*nj]
+		o1 := out.Data[(i+1)*nj : (i+2)*nj][:len(o0)]
+		j := 0
+		for ; j+2 <= nj; j += 2 {
+			t0 := bt.Data[j*k : (j+1)*k][:len(a0)]
+			t1 := bt.Data[(j+1)*k : (j+2)*k][:len(a0)]
+			var s00, s01, s10, s11 float64
+			if accumulate {
+				s00, s01, s10, s11 = o0[j], o0[j+1], o1[j], o1[j+1]
+			}
+			for c, v0 := range a0 {
+				v1, w0, w1 := a1[c], t0[c], t1[c]
+				s00 += w0 * v0
+				s01 += w1 * v0
+				s10 += w0 * v1
+				s11 += w1 * v1
+			}
+			o0[j], o0[j+1], o1[j], o1[j+1] = s00, s01, s10, s11
+		}
+		if j < nj {
+			t0 := bt.Data[j*k : (j+1)*k][:len(a0)]
+			var s0, s1 float64
+			if accumulate {
+				s0, s1 = o0[j], o1[j]
+			}
+			for c, v0 := range a0 {
+				w0 := t0[c]
+				s0 += w0 * v0
+				s1 += w0 * a1[c]
+			}
+			o0[j], o1[j] = s0, s1
+		}
+	}
+	if i < a.Rows {
+		a0 := a.Data[i*k : (i+1)*k]
+		o0 := out.Data[i*nj : (i+1)*nj]
+		j := 0
+		for ; j+2 <= nj; j += 2 {
+			t0 := bt.Data[j*k : (j+1)*k][:len(a0)]
+			t1 := bt.Data[(j+1)*k : (j+2)*k][:len(a0)]
+			var s0, s1 float64
+			if accumulate {
+				s0, s1 = o0[j], o0[j+1]
+			}
+			for c, v0 := range a0 {
+				s0 += t0[c] * v0
+				s1 += t1[c] * v0
+			}
+			o0[j], o0[j+1] = s0, s1
+		}
+		if j < nj {
+			t0 := bt.Data[j*k : (j+1)*k][:len(a0)]
+			var s0 float64
+			if accumulate {
+				s0 = o0[j]
+			}
+			for c, v0 := range a0 {
+				s0 += t0[c] * v0
+			}
+			o0[j] = s0
+		}
+	}
+}
+
+// dotRowsSkip is dotRows with the vector forms' zero skip: a term whose
+// a[i][k] is zero is left out of the sum. It runs one element at a
+// time, and only when non-finite operands or a -0 accumulator make the
+// skip observable.
+//
+//repro:noalloc
+func dotRowsSkip(a, bt, out *Mat, accumulate bool) {
+	k, nj := a.Cols, bt.Rows
+	for i := 0; i < a.Rows; i++ {
+		ai := a.Data[i*k : (i+1)*k]
+		oi := out.Data[i*nj : (i+1)*nj]
+		for j := range oi {
+			tj := bt.Data[j*k : (j+1)*k][:len(ai)]
+			var s float64
+			if accumulate {
+				s = oi[j]
+			}
+			for c, v := range ai {
+				if v != 0 {
+					s += tj[c] * v
+				}
+			}
+			oi[j] = s
+		}
 	}
 }
 

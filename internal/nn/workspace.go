@@ -25,6 +25,11 @@ type Workspace struct {
 	// the view never reallocates.
 	acts, grads         []*Mat
 	actsFull, gradsFull [][]float64
+
+	// scratch holds the transposed operands of BackwardBatch's blocked
+	// kernels: gᵀ and xᵀ for a layer's weight gradient, then that
+	// layer's Wᵀ for its input gradient.
+	scratch []float64
 }
 
 // NewWorkspace allocates scratch for running m on minibatches of up to
@@ -42,12 +47,18 @@ func NewWorkspace(m *MLP, batch int) *Workspace {
 		actsFull:  make([][]float64, n),
 		gradsFull: make([][]float64, n),
 	}
+	scratch := 0
 	for i, s := range m.Sizes {
 		w.actsFull[i] = make([]float64, batch*s)
 		w.acts[i] = &Mat{Rows: batch, Cols: s, Data: w.actsFull[i]}
 		w.gradsFull[i] = make([]float64, batch*s)
 		w.grads[i] = &Mat{Rows: batch, Cols: s, Data: w.gradsFull[i]}
+		if i > 0 {
+			in := m.Sizes[i-1]
+			scratch = max(scratch, batch*(in+s), in*s)
+		}
 	}
+	w.scratch = make([]float64, scratch)
 	return w
 }
 
@@ -147,7 +158,7 @@ func (m *MLP) BackwardBatch(w *Workspace) *Mat {
 				dZ.Data[i] *= m.Act.derivFromOutput(out.Data[i])
 			}
 		}
-		m.gradW[l].AddOuterBatch(dZ, w.acts[l])
+		m.gradW[l].addOuterBatch(dZ, w.acts[l], w.scratch)
 		gb := m.gradB[l]
 		for b := 0; b < dZ.Rows; b++ {
 			row := dZ.Row(b)
@@ -155,7 +166,7 @@ func (m *MLP) BackwardBatch(w *Workspace) *Mat {
 				gb[i] += row[i]
 			}
 		}
-		m.Weights[l].MulMat(dZ, w.grads[l])
+		m.Weights[l].mulMat(dZ, w.grads[l], w.scratch)
 	}
 	return w.grads[0]
 }
