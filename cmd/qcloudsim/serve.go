@@ -76,57 +76,6 @@ type serveOptions struct {
 	onHTTP func(net.Addr)
 }
 
-// finishEmitter streams job lifecycle events as JSON lines.
-type finishEmitter struct {
-	w   *bufio.Writer
-	enc *json.Encoder
-}
-
-func newFinishEmitter(w io.Writer) *finishEmitter {
-	bw := bufio.NewWriter(w)
-	return &finishEmitter{w: bw, enc: json.NewEncoder(bw)}
-}
-
-type lifecycleLine struct {
-	Event    string   `json:"event"`
-	JobID    string   `json:"job_id"`
-	T        float64  `json:"t"`
-	Reason   string   `json:"reason,omitempty"`
-	Fidelity *float64 `json:"fidelity,omitempty"`
-	CommTime *float64 `json:"comm_time,omitempty"`
-	Devices  []string `json:"devices,omitempty"`
-}
-
-func (e *finishEmitter) emit(l lifecycleLine) {
-	if err := e.enc.Encode(l); err == nil {
-		e.w.Flush() //lint:allow errlint lifecycle emission is best-effort; a broken out pipe must not crash the broker
-	}
-}
-
-// Arrival implements core.StreamRecorder.
-func (e *finishEmitter) Arrival(j *job.QJob, t float64) {
-	e.emit(lifecycleLine{Event: "arrival", JobID: j.ID, T: t})
-}
-
-// Start implements core.StreamRecorder.
-func (e *finishEmitter) Start(jobID string, t float64) {
-	e.emit(lifecycleLine{Event: "start", JobID: jobID, T: t})
-}
-
-// Finish implements core.StreamRecorder.
-func (e *finishEmitter) Finish(jobID string, finish, fidelity, commTime float64, deviceNames []string) {
-	e.emit(lifecycleLine{
-		Event: "finish", JobID: jobID, T: finish,
-		Fidelity: &fidelity, CommTime: &commTime, Devices: deviceNames,
-	})
-}
-
-// Drop implements core.StreamRecorder: an admission-control refusal or
-// shed, with the reason on the line.
-func (e *finishEmitter) Drop(j *job.QJob, t float64, reason string) {
-	e.emit(lifecycleLine{Event: "drop", JobID: j.ID, T: t, Reason: reason})
-}
-
 // metricsLine is one rolling-metrics JSONL sample on the metrics stream.
 type metricsLine struct {
 	SimNow     float64                          `json:"sim_now"`
@@ -153,6 +102,9 @@ type server struct {
 	env  *sim.Environment
 	rec  *records.Manager // nil unless -export
 	gw   *api.Gateway
+	// lifecycle is the stdout event stream. It outlives a supervised
+	// incarnation: one emitter serves every broker of a process.
+	lifecycle *finishEmitter
 
 	idx        *core.JobIndex
 	metricsOut *bufio.Writer
@@ -298,6 +250,7 @@ func (s *server) shutdown(errOut io.Writer) error {
 	}
 	s.draining = true
 	end, err := s.b.Drain()
+	s.lifecycle.Flush()
 	if err != nil {
 		return err
 	}
@@ -334,6 +287,7 @@ func (s *server) startHTTP(errOut io.Writer) error {
 	if s.opts.inj != nil {
 		handler = s.opts.inj.Middleware(handler)
 	}
+	handler = flushAfter(handler, s.lifecycle)
 	hs := &http.Server{Handler: handler}
 	done := make(chan struct{})
 	go func() {
@@ -376,8 +330,9 @@ func loadCheckpoint(path string) (*core.Checkpoint, error) {
 // pipeline, broker, admission, restore, and gateway. withManager keeps
 // unbounded per-job history for CSV export; the supervisor needs that
 // even when the per-incarnation export path is empty, because it
-// stitches rows across incarnations itself.
-func buildServer(opts serveOptions, cp *core.Checkpoint, out, errOut io.Writer, withManager bool) (*server, error) {
+// stitches rows across incarnations itself. lifecycle receives the
+// job lifecycle events.
+func buildServer(opts serveOptions, cp *core.Checkpoint, lifecycle *finishEmitter, errOut io.Writer, withManager bool) (*server, error) {
 	var env *sim.Environment
 	if cp != nil {
 		env = sim.NewEnvironmentAt(cp.SimNow)
@@ -401,7 +356,7 @@ func buildServer(opts serveOptions, cp *core.Checkpoint, out, errOut io.Writer, 
 		rec = records.NewManager()
 		recorder = append(recorder, core.ManagerRecorder{M: rec})
 	}
-	recorder = append(recorder, idx, newFinishEmitter(out))
+	recorder = append(recorder, idx, lifecycle)
 	b, err := core.NewBroker(env, fleet, opts.pol, opts.cfg, recorder, opts.window)
 	if err != nil {
 		return nil, err
@@ -423,7 +378,8 @@ func buildServer(opts serveOptions, cp *core.Checkpoint, out, errOut io.Writer, 
 	if err != nil {
 		return nil, err
 	}
-	return &server{opts: opts, b: b, env: env, rec: rec, gw: gw, idx: idx, metricsOut: bufio.NewWriter(errOut), warnOut: errOut}, nil
+	return &server{opts: opts, b: b, env: env, rec: rec, gw: gw, lifecycle: lifecycle, idx: idx,
+		metricsOut: bufio.NewWriter(errOut), warnOut: errOut}, nil
 }
 
 // runServe runs the broker service: jobs arrive as line-delimited JSON
@@ -439,13 +395,16 @@ func runServe(ctx context.Context, opts serveOptions, in io.Reader, out, errOut 
 			return err
 		}
 	}
-	s, err := buildServer(opts, cp, out, errOut, opts.export != "")
+	lifecycle := newFinishEmitter(out)
+	defer lifecycle.Flush()
+	s, err := buildServer(opts, cp, lifecycle, errOut, opts.export != "")
 	if err != nil {
 		return err
 	}
 	if opts.inj != nil {
 		in = opts.inj.Reader(in)
 	}
+	in = flushingReader{r: in, lc: lifecycle}
 	s.scheduleTicks()
 	if opts.httpAddr != "" {
 		if err := s.startHTTP(errOut); err != nil {
@@ -541,6 +500,7 @@ func (s *server) runRealTime(ctx context.Context, jobs <-chan *job.QJob) error {
 		s.gw.AdvanceTo(time.Since(s.wallStart).Seconds() * s.opts.timeScale)
 	}
 	for {
+		s.lifecycle.Flush()
 		select {
 		case <-ctx.Done():
 			return nil

@@ -113,11 +113,11 @@ type recoveryEvent struct {
 // sidesteps duplicate-lifecycle panics; the supervisor stitches rows
 // across incarnations at export time).
 type supervisor struct {
-	opts   serveOptions
-	out    io.Writer
-	errOut io.Writer
-	feed   *lineFeed
-	inj    *faults.Injector
+	opts      serveOptions
+	lifecycle *finishEmitter
+	errOut    io.Writer
+	feed      *lineFeed
+	inj       *faults.Injector
 
 	// cp is the latest durable checkpoint; nil before the first one.
 	cp *core.Checkpoint
@@ -138,7 +138,10 @@ type supervisor struct {
 // atomic checkpoint when one crashes, until the stream drains or the
 // crash-loop breaker trips.
 func runSupervised(ctx context.Context, opts serveOptions, inj *faults.Injector, in io.Reader, out, errOut io.Writer) error {
-	sup := &supervisor{opts: opts, out: out, errOut: errOut, feed: newLineFeed(in), inj: inj}
+	lifecycle := newFinishEmitter(out)
+	defer lifecycle.Flush()
+	sup := &supervisor{opts: opts, lifecycle: lifecycle, errOut: errOut, inj: inj,
+		feed: newLineFeed(flushingReader{r: in, lc: lifecycle})}
 	if opts.resume {
 		cp, err := loadCheckpoint(opts.checkpointPath)
 		if err != nil {
@@ -192,7 +195,7 @@ func (sup *supervisor) runIncarnation(ctx context.Context) (err error) {
 	// The supervisor stitches the export across incarnations itself;
 	// the per-incarnation server must not write a partial file.
 	opts.export = ""
-	s, err := buildServer(opts, sup.cp, sup.out, sup.errOut, sup.opts.export != "")
+	s, err := buildServer(opts, sup.cp, sup.lifecycle, sup.errOut, sup.opts.export != "")
 	if err != nil {
 		return err
 	}
@@ -210,6 +213,9 @@ func (sup *supervisor) runIncarnation(ctx context.Context) (err error) {
 		sup.event("recover", pos, s.env.Now(), "")
 	}
 	defer func() {
+		// Lines the incarnation emitted reach stdout before the restart
+		// backoff sleeps, crash or not.
+		sup.lifecycle.Flush()
 		if r := recover(); r != nil {
 			cause := fmt.Sprint(r)
 			sup.event("crash", pos, s.env.Now(), cause)

@@ -134,6 +134,18 @@ func TestSupervisedRecoveryEquivalence(t *testing.T) {
 			t.Fatalf("recovery restarted from stream position 0 — no durable checkpoint preceded the crash; events: %+v", evs)
 		}
 	}
+	// Lines the crashed incarnation buffered survive the panic: every
+	// job admitted before the crash position has its arrival on stdout.
+	for _, ev := range evs {
+		if ev.Event != "crash" {
+			continue
+		}
+		for _, j := range jobs[:ev.Pos] {
+			if !strings.Contains(out.String(), arrivalNeedle(j.ID)) {
+				t.Fatalf("no arrival line for %s, admitted before the crash at stream position %d", j.ID, ev.Pos)
+			}
+		}
+	}
 
 	want, err := os.ReadFile(clean.export)
 	if err != nil {
