@@ -10,8 +10,10 @@
 package repro
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -25,6 +27,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/nn"
 	"repro/internal/policy"
+	"repro/internal/records"
 	"repro/internal/rl"
 	"repro/internal/rlsched"
 	"repro/internal/sim"
@@ -584,6 +587,87 @@ func BenchmarkBrokerOverloaded(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(jobs)), "ns/job")
+}
+
+// benchStreamJobs is the synthetic stream size of the ingest and
+// export benches: the 20k jobs of the serve-overloaded replay.
+const benchStreamJobs = 20000
+
+// reportPerJob reports time and heap allocations per job over the
+// timed loop; before is the MemStats read as the timer started.
+func reportPerJob(b *testing.B, before *runtime.MemStats, jobs int) {
+	var after runtime.MemStats
+	runtime.ReadMemStats(&after)
+	n := float64(b.N * jobs)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/job")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/n, "allocs/job")
+}
+
+// BenchmarkStreamDecode decodes a 20k-job NDJSON stream, some jobs with
+// a tenant, through job.StreamDecoder: the ingest layer of -serve and
+// of HTTP submission. One op is the whole stream.
+func BenchmarkStreamDecode(b *testing.B) {
+	cfg := job.DefaultSyntheticConfig()
+	cfg.N = benchStreamJobs
+	jobs, err := job.Synthetic(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < len(jobs); i += 4 {
+		jobs[i].Tenant = "acme"
+	}
+	var buf bytes.Buffer
+	if err := job.WriteNDJSON(&buf, jobs); err != nil {
+		b.Fatal(err)
+	}
+	stream := buf.Bytes()
+	var before runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dec := job.NewStreamDecoder(bytes.NewReader(stream))
+		for {
+			_, err := dec.Next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.StopTimer()
+	reportPerJob(b, &before, len(jobs))
+}
+
+// BenchmarkStatsCSVExport writes the per-job records CSV of 20k
+// finished jobs, the export layer shared by batch -export, serve
+// -export and the supervisor's stitched export. One op is the whole
+// file.
+func BenchmarkStatsCSVExport(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	devices := []string{"ibm_strasbourg", "ibm_brussels", "ibm_kyiv", "ibm_quebec", "ibm_kawasaki"}
+	m := records.NewManager()
+	for i := 0; i < benchStreamJobs; i++ {
+		id := fmt.Sprintf("job-%06d", i)
+		arrival := float64(i) * 10 * rng.Float64()
+		start := arrival + 1000*rng.Float64()
+		m.LogArrival(id, arrival)
+		m.LogStart(id, start)
+		k := 1 + rng.Intn(3)
+		m.LogFinish(id, start+500*rng.Float64(), 0.6+0.3*rng.Float64(), 5*rng.Float64(), devices[k-1:2*k-1])
+	}
+	rows := m.Finished()
+	var before runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := records.WriteStatsCSV(io.Discard, rows); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	reportPerJob(b, &before, len(rows))
 }
 
 // BenchmarkApportion measures the allocation apportionment hot path.

@@ -238,7 +238,8 @@ func (sup *supervisor) runIncarnation(ctx context.Context) (err error) {
 		if sup.inj != nil {
 			line = sup.inj.Line(pos, raw) // may panic with an induced *faults.Crash
 		}
-		if len(bytes.TrimSpace(line)) == 0 {
+		line = bytes.TrimSpace(line)
+		if len(line) == 0 {
 			s.ingested = pos + 1
 			continue
 		}

@@ -396,6 +396,44 @@ func TestHTTPSubmitBadRequest(t *testing.T) {
 	}
 }
 
+// A line holding more than one job object (or anything else after its
+// object) is malformed: the request fails whole with 400 naming the
+// line, and no job of the batch is offered to the broker.
+func TestHTTPSubmitTrailingBytes(t *testing.T) {
+	s := newLiveStack(t, func() policy.Policy { return policy.Speed{} }, core.DefaultConfig(), core.AdmissionConfig{})
+	a := `{"job_id":"a","num_qubits":200,"depth":5,"num_shots":100}`
+	b := `{"job_id":"b","num_qubits":200,"depth":5,"num_shots":100}`
+	for name, body := range map[string]string{
+		"two-objects": a + "\n" + a + b + "\n",
+		"junk":        a + "\n" + b + " junk\n",
+	} {
+		t.Run(name, func(t *testing.T) {
+			resp, err := http.Post(s.ts.URL+"/v1/jobs", "application/x-ndjson", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var er errorResponse
+			if err := json.NewDecoder(resp.Body).Decode(&er); err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(er.Error, "line 2") || !strings.Contains(er.Error, "unexpected data after the job object") {
+				t.Fatalf("status %d, error %q; want 400 naming line 2", resp.StatusCode, er.Error)
+			}
+			var st Status
+			s.getJSON(t, "/v1/status", &st)
+			if st.Admitted != 0 || st.Admission != (core.AdmissionStats{}) {
+				t.Fatalf("rejected request reached the broker: admitted %d, admission %+v", st.Admitted, st.Admission)
+			}
+			for _, id := range []string{"a", "b"} {
+				if resp := s.getJSON(t, "/v1/jobs/"+id, nil); resp.StatusCode != http.StatusNotFound {
+					t.Fatalf("GET /v1/jobs/%s = %d, want 404", id, resp.StatusCode)
+				}
+			}
+		})
+	}
+}
+
 func TestHTTPMethodNotAllowed(t *testing.T) {
 	s := newLiveStack(t, func() policy.Policy { return policy.Speed{} }, core.DefaultConfig(), core.AdmissionConfig{})
 	resp, err := http.Get(s.ts.URL + "/v1/jobs")

@@ -233,6 +233,8 @@ func TestLoadJSONErrors(t *testing.T) {
 		`[{"job_id":"a","num_qubits":0,"depth":1,"num_shots":1}]`,
 		`[{"job_id":"a","unknown_field":1}]`,
 		`not json`,
+		`[{"job_id":"a","num_qubits":150,"depth":10,"num_shots":1}] [{"job_id":"b","num_qubits":150,"depth":10,"num_shots":1}]`,
+		`[{"job_id":"a","num_qubits":150,"depth":10,"num_shots":1}] junk`,
 	}
 	for i, c := range cases {
 		if _, err := LoadJSON(strings.NewReader(c)); err == nil {

@@ -94,13 +94,17 @@ func parseCSVRow(row []string) (*QJob, error) {
 		}
 		j.TwoQubitGates = t2
 	} else {
-		j.TwoQubitGates = int(0.25*float64(q*d) + 0.5)
+		j.TwoQubitGates = defaultTwoQubitGates(q, d)
 	}
 	if err := j.Validate(); err != nil {
 		return nil, err
 	}
 	return j, nil
 }
+
+// defaultTwoQubitGates is the loaders' default two-qubit gate count,
+// round(0.25·q·d).
+func defaultTwoQubitGates(q, d int) int { return int(0.25*float64(q*d) + 0.5) }
 
 // jobJSON is the JSON workload schema: an array of these objects.
 type jobJSON struct {
@@ -129,7 +133,7 @@ func (rj jobJSON) toJob() (*QJob, error) {
 	if rj.TwoQubitGates != nil {
 		j.TwoQubitGates = *rj.TwoQubitGates
 	} else {
-		j.TwoQubitGates = int(0.25*float64(j.NumQubits*j.Depth) + 0.5)
+		j.TwoQubitGates = defaultTwoQubitGates(j.NumQubits, j.Depth)
 	}
 	if err := j.Validate(); err != nil {
 		return nil, err
@@ -138,13 +142,17 @@ func (rj jobJSON) toJob() (*QJob, error) {
 }
 
 // LoadJSON reads a deterministic workload from a JSON array. Jobs are
-// returned in arrival order.
+// returned in arrival order. Anything but whitespace after the array is
+// an error.
 func LoadJSON(r io.Reader) ([]*QJob, error) {
 	var raw []jobJSON
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&raw); err != nil {
 		return nil, fmt.Errorf("job: decoding JSON: %w", err)
+	}
+	if !atEnd(dec) {
+		return nil, fmt.Errorf("job: decoding JSON: unexpected data after the job array (%d entries)", len(raw))
 	}
 	if len(raw) == 0 {
 		return nil, fmt.Errorf("job: JSON contains no jobs")

@@ -71,21 +71,24 @@ func (d *StreamDecoder) streamName() string {
 
 // readLine reads one physical line including its newline. At end of
 // stream it returns the unterminated tail (possibly empty) with io.EOF.
+// A line that fits in the reader's buffer is returned as a slice of
+// that buffer, valid only until the next read; only a line spanning
+// buffer refills is copied.
 func (d *StreamDecoder) readLine() ([]byte, error) {
-	var buf []byte
+	frag, err := d.br.ReadSlice('\n')
+	if !errors.Is(err, bufio.ErrBufferFull) {
+		return frag, err
+	}
+	buf := append([]byte(nil), frag...)
 	for {
-		frag, err := d.br.ReadSlice('\n')
+		frag, err = d.br.ReadSlice('\n')
 		buf = append(buf, frag...)
-		if err == nil || errors.Is(err, io.EOF) {
+		if !errors.Is(err, bufio.ErrBufferFull) {
 			return buf, err
 		}
-		if errors.Is(err, bufio.ErrBufferFull) {
-			if len(buf) > maxLineBytes {
-				return nil, fmt.Errorf("line exceeds %d bytes", maxLineBytes)
-			}
-			continue
+		if len(buf) > maxLineBytes {
+			return nil, fmt.Errorf("line exceeds %d bytes", maxLineBytes)
 		}
-		return buf, err
 	}
 }
 
@@ -132,16 +135,47 @@ func (d *StreamDecoder) Next() (*QJob, error) {
 }
 
 // DecodeLine decodes one NDJSON job line (the broker wire schema),
-// applying the batch loader's defaults and validation. Ingest
-// provenance is left zero; callers stamp it.
+// applying the batch loader's defaults and validation. JSON whitespace
+// may surround the object; any other byte after it is an error. Ingest
+// provenance is left zero; callers stamp it. The returned job shares no
+// memory with line.
+//
+// A line in the canonical shape (exact lowercase keys, plain ASCII
+// strings, integer int fields) takes a hand-written fast path; any
+// other line, and every error, goes through decodeReflective, so both
+// paths accept the same jobs and report the same errors.
 func DecodeLine(line []byte) (*QJob, error) {
+	if j, ok := decodeCanonical(line); ok {
+		return j, nil
+	}
+	return decodeReflective(line)
+}
+
+// errTrailingData reports bytes after the job object on an NDJSON line.
+var errTrailingData = errors.New("unexpected data after the job object")
+
+// decodeReflective is the reference decoder: encoding/json with
+// DisallowUnknownFields (keys match case-insensitively and the last of
+// a duplicate key wins), then a check that nothing but whitespace
+// follows the object.
+func decodeReflective(line []byte) (*QJob, error) {
 	var rj jobJSON
 	dec := json.NewDecoder(bytes.NewReader(line))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&rj); err != nil {
 		return nil, err
 	}
+	if !atEnd(dec) {
+		return nil, errTrailingData
+	}
 	return rj.toJob()
+}
+
+// atEnd reports whether only JSON whitespace follows the value dec last
+// decoded.
+func atEnd(dec *json.Decoder) bool {
+	_, err := dec.Token()
+	return err == io.EOF
 }
 
 // WriteNDJSON emits jobs in the stream decoder's line-delimited format.

@@ -84,6 +84,10 @@ func TestStreamDecoderErrors(t *testing.T) {
 		{"unknown field", `{"job_id":"a","num_qubits":140,"depth":10,"num_shots":1,"bogus":1}`},
 		{"invalid job", `{"job_id":"","num_qubits":140,"depth":10,"num_shots":1}`},
 		{"negative arrival", `{"job_id":"a","num_qubits":140,"depth":10,"num_shots":1,"arrival_time":-2}`},
+		{"second object", `{"job_id":"a","num_qubits":140,"depth":10,"num_shots":1}{"job_id":"b","num_qubits":140,"depth":10,"num_shots":1}`},
+		{"trailing junk", `{"job_id":"a","num_qubits":140,"depth":10,"num_shots":1} junk`},
+		{"trailing comma", `{"job_id":"a","num_qubits":140,"depth":10,"num_shots":1},`},
+		{"trailing after reflective", `{"Job_ID":"a","num_qubits":140,"depth":10,"num_shots":1} 7`},
 	}
 	for _, c := range cases {
 		d := NewStreamDecoder(strings.NewReader(c.line))

@@ -1,12 +1,14 @@
 package records
 
 import (
+	"bufio"
 	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
 	"strconv"
-	"strings"
+	"unicode"
+	"unicode/utf8"
 )
 
 // WriteCSV emits one row per finished job with the full lifecycle and
@@ -17,48 +19,132 @@ func (m *Manager) WriteCSV(w io.Writer) error {
 	return WriteStatsCSV(w, m.Finished())
 }
 
+// statsHeader is the per-job records CSV header row.
+const statsHeader = "job_id,arrival,start,finish,wait,exec,turnaround," +
+	"fidelity,comm_time,devices,device_names,source,remote,conn_id\n"
+
 // WriteStatsCSV writes the per-job records CSV over an explicit row
 // slice — the same bytes WriteCSV produces for a Manager's finished
 // jobs. The supervisor uses it to export rows stitched together across
 // broker incarnations (checkpoint-archived rows plus the final
 // incarnation's) as one seamless file.
+//
+// Rows are appended by hand into one reused buffer, byte for byte what
+// encoding/csv's Writer writes for the same fields (the reference in
+// the package's tests), so the cost per row is formatting alone.
 func WriteStatsCSV(w io.Writer, rows []*JobStats) error {
-	cw := csv.NewWriter(w)
-	header := []string{
-		"job_id", "arrival", "start", "finish",
-		"wait", "exec", "turnaround",
-		"fidelity", "comm_time", "devices", "device_names",
-		"source", "remote", "conn_id",
-	}
-	if err := cw.Write(header); err != nil {
+	bw := bufio.NewWriterSize(w, 64<<10)
+	if _, err := bw.WriteString(statsHeader); err != nil {
 		return err
 	}
-	f := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+	line := make([]byte, 0, 256)
 	for _, s := range rows {
-		row := []string{
-			s.JobID,
-			f(s.Arrival), f(s.Start), f(s.Finish),
-			f(s.WaitTime()), f(s.ExecTime()), f(s.Turnaround()),
-			f(s.Fidelity), f(s.CommTime),
-			strconv.Itoa(s.Devices),
-			strings.Join(s.DeviceNames, "+"),
-			s.Source, s.Remote, fmtConnID(s.ConnID, s.Source),
-		}
-		if err := cw.Write(row); err != nil {
+		line = appendStatsRow(line[:0], s)
+		if _, err := bw.Write(line); err != nil {
 			return err
 		}
 	}
-	cw.Flush()
-	return cw.Error()
+	return bw.Flush()
 }
 
-// fmtConnID renders the ingest connection column: blank when no source
-// was recorded (batch rows — conn 0 there means "unset").
-func fmtConnID(connID int64, source string) string {
-	if source == "" {
-		return ""
+// appendStatsRow appends one job's CSV row, newline included. Floats
+// use the shortest 'g' form; conn_id is blank when no ingest source was
+// recorded (batch rows — conn 0 there means "unset").
+//
+//repro:noalloc
+func appendStatsRow(b []byte, s *JobStats) []byte {
+	b = appendCSVField(b, s.JobID)
+	for _, v := range [...]float64{
+		s.Arrival, s.Start, s.Finish,
+		s.WaitTime(), s.ExecTime(), s.Turnaround(),
+		s.Fidelity, s.CommTime,
+	} {
+		b = append(b, ',')
+		b = strconv.AppendFloat(b, v, 'g', -1, 64)
 	}
-	return strconv.FormatInt(connID, 10)
+	b = append(b, ',')
+	b = strconv.AppendInt(b, int64(s.Devices), 10)
+	b = append(b, ',')
+	start := len(b)
+	for i, name := range s.DeviceNames {
+		if i > 0 {
+			b = append(b, '+')
+		}
+		b = append(b, name...)
+	}
+	b = quoteCSVField(b, start)
+	b = append(b, ',')
+	b = appendCSVField(b, s.Source)
+	b = append(b, ',')
+	b = appendCSVField(b, s.Remote)
+	b = append(b, ',')
+	if s.Source != "" {
+		b = strconv.AppendInt(b, s.ConnID, 10)
+	}
+	b = append(b, '\n')
+	return b
+}
+
+// appendCSVField appends s as one CSV field.
+//
+//repro:noalloc
+func appendCSVField(b []byte, s string) []byte {
+	start := len(b)
+	b = append(b, s...)
+	return quoteCSVField(b, start)
+}
+
+// quoteCSVField quotes the field b[start:] in place when encoding/csv
+// would: the field is `\.`, holds a comma, quote, CR or LF, or starts
+// with a Unicode space. Inside the quotes each '"' is doubled; CR and
+// LF stay as they are (csv.Writer with UseCRLF false).
+//
+//repro:noalloc
+func quoteCSVField(b []byte, start int) []byte {
+	if !csvFieldNeedsQuotes(b[start:]) {
+		return b
+	}
+	end := len(b)
+	grow := 2
+	for _, c := range b[start:end] {
+		if c == '"' {
+			grow++
+		}
+	}
+	for i := 0; i < grow; i++ {
+		b = append(b, '"')
+	}
+	// Shift the field right from its last byte, doubling quotes; the
+	// closing quote is already in place at the end.
+	w := len(b) - 2
+	for r := end - 1; r >= start; r-- {
+		b[w] = b[r]
+		w--
+		if b[r] == '"' {
+			b[w] = '"'
+			w--
+		}
+	}
+	b[start] = '"'
+	return b
+}
+
+// csvFieldNeedsQuotes is encoding/csv's quoting rule for a comma
+// delimiter.
+func csvFieldNeedsQuotes(f []byte) bool {
+	if len(f) == 0 {
+		return false
+	}
+	if len(f) == 2 && f[0] == '\\' && f[1] == '.' {
+		return true
+	}
+	for _, c := range f {
+		if c == '\n' || c == '\r' || c == '"' || c == ',' {
+			return true
+		}
+	}
+	r, _ := utf8.DecodeRune(f)
+	return unicode.IsSpace(r)
 }
 
 // RunSummary is one completed simulation task in a run manifest: the
