@@ -133,14 +133,12 @@ func run() error {
 		return runServe(ctx, opts, os.Stdin, os.Stdout, os.Stderr)
 	}
 
-	env := sim.NewEnvironment()
-
 	if *configPath != "" {
 		spec, err := config.LoadFile(*configPath)
 		if err != nil {
 			return err
 		}
-		simEnv, jobs, err := spec.Build(env, filepath.Dir(*configPath))
+		simEnv, jobs, err := spec.Build(sim.NewEnvironment(), filepath.Dir(*configPath))
 		if err != nil {
 			return err
 		}
@@ -152,36 +150,45 @@ func run() error {
 		return report(simEnv, res, *export, *verbose)
 	}
 
-	fleet, err := device.StandardFleet(env, *fleetSeed)
-	if err != nil {
-		return err
-	}
-
 	pol, err := buildPolicy(*polName, *rlModel, *rlSeed)
 	if err != nil {
 		return err
 	}
-
 	jobs, err := loadJobs(*jobsPath, *n, *seed, *interarrival)
 	if err != nil {
 		return err
 	}
-
-	simEnv, err := core.NewQCloudSimEnv(env, fleet, pol, cfg)
-	if err != nil {
-		return err
-	}
-	simEnv.SubmitWorkload(jobs)
-	if *driftEvery > 0 {
-		if err := simEnv.EnableCalibrationDrift(*driftEvery, *driftMag, *seed); err != nil {
-			return err
-		}
-	}
-	res, err := simEnv.Run()
+	simEnv, res, err := runBatch(*fleetSeed, pol, cfg, jobs, *driftEvery, *driftMag, *seed)
 	if err != nil {
 		return err
 	}
 	return report(simEnv, res, *export, *verbose)
+}
+
+// runBatch simulates jobs on the standard fleet. A positive driftEvery
+// recalibrates every device that often (simulated seconds), by driftMag,
+// from driftSeed.
+func runBatch(fleetSeed int64, pol policy.Policy, cfg core.Config, jobs []*job.QJob, driftEvery, driftMag float64, driftSeed int64) (*core.QCloudSimEnv, core.Results, error) {
+	env := sim.NewEnvironment()
+	fleet, err := device.StandardFleet(env, fleetSeed)
+	if err != nil {
+		return nil, core.Results{}, err
+	}
+	simEnv, err := core.NewQCloudSimEnv(env, fleet, pol, cfg)
+	if err != nil {
+		return nil, core.Results{}, err
+	}
+	simEnv.SubmitWorkload(jobs)
+	if driftEvery > 0 {
+		if err := simEnv.EnableCalibrationDrift(driftEvery, driftMag, driftSeed); err != nil {
+			return nil, core.Results{}, err
+		}
+	}
+	res, err := simEnv.Run()
+	if err != nil {
+		return nil, core.Results{}, err
+	}
+	return simEnv, res, nil
 }
 
 // serveFlags are meaningful only with -serve.
@@ -429,8 +436,8 @@ func report(simEnv *core.QCloudSimEnv, res core.Results, export string, verbose 
 	fmt.Printf("T_comm      %.2f s\n", res.TotalCommTime)
 	fmt.Printf("mean wait   %.2f s\n", res.MeanWaitTime)
 	fmt.Printf("mean k      %.2f devices/job\n", res.MeanDevicesPerJob)
-	util := make(map[string]float64, len(simEnv.Cloud.Devices()))
-	for _, d := range simEnv.Cloud.Devices() {
+	util := make(map[string]float64, len(simEnv.Broker.Devices()))
+	for _, d := range simEnv.Broker.Devices() {
 		util[d.Name()] = d.Utilization()
 	}
 	fmt.Println("device load:")

@@ -471,3 +471,38 @@ func TestServeHTTPLogicalMatchesBatch(t *testing.T) {
 		}
 	}
 }
+
+// qcloudsim -jobs big.json -drift-interval 3600 with a job larger than
+// the fleet must exit with the unfinished-jobs error, not spin on
+// recalibration.
+func TestBatchDriftUnplaceableJobFails(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "big.json")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	big := []*job.QJob{{ID: "big", NumQubits: 700, Depth: 5, Shots: 1000, TwoQubitGates: 1}}
+	if err := job.WriteJSON(f, big); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	jobs, err := loadJobs(path, 0, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := runBatch(2025, policy.Speed{}, core.DefaultConfig(), jobs, 3600, 0.2, 1)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "1 jobs unfinished") {
+			t.Fatalf("runBatch error = %v, want 1 jobs unfinished", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("runBatch did not return: calibration drift kept the simulation alive")
+	}
+}

@@ -51,7 +51,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println("cloud from spec:")
-	for _, d := range simEnv.Cloud.Devices() {
+	for _, d := range simEnv.Broker.Devices() {
 		fmt.Printf("  %-14s %3d qubits  CLOPS %6.0f  error score %.5f  topology edges %d\n",
 			d.Name(), d.NumQubits(), d.CLOPS(), d.ErrorScore(), d.Topology().NumEdges())
 	}

@@ -55,7 +55,7 @@ func TestBuildAndRunFromSpec(t *testing.T) {
 	if len(jobs) != 12 {
 		t.Fatalf("jobs = %d", len(jobs))
 	}
-	devs := simEnv.Cloud.Devices()
+	devs := simEnv.Broker.Devices()
 	if len(devs) != 3 {
 		t.Fatalf("devices = %d", len(devs))
 	}

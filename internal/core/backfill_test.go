@@ -93,7 +93,7 @@ func TestBackfillStillCompletesEverything(t *testing.T) {
 		if res.JobsFinished != 60 {
 			t.Fatalf("%s: finished %d", pol.Name(), res.JobsFinished)
 		}
-		if free := device.TotalFree(e.Cloud.Devices()); free != 635 {
+		if free := device.TotalFree(e.Broker.Devices()); free != 635 {
 			t.Fatalf("%s: leaked qubits: %d", pol.Name(), free)
 		}
 	}

@@ -9,7 +9,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"repro/internal/calib"
@@ -82,107 +81,84 @@ func (c Config) validate() error {
 	return nil
 }
 
-// QCloud manages the device fleet, applies the allocation policy, and
-// owns the pending-job queue. It corresponds to the paper's QCloud plus
-// Broker: the Broker's device-selection step is delegated to the
-// pluggable Policy (users implement policy.Policy for custom brokers).
-type QCloud struct {
-	env     *sim.Environment
-	devices []*device.Device
-	pol     policy.Policy
-	rec     *records.Manager
-	cfg     Config
-	pending fifo[*job.QJob]
+// batchWindowCap sizes the rolling metrics windows of the Broker behind
+// a QCloudSimEnv. Batch results are computed from the records, so the
+// windows only need to exist.
+const batchWindowCap = 16
 
-	// lifecycle tracking for auxiliary processes (calibration drift).
-	workloadSubmitted bool
-	generatorDone     bool
-	activeJobs        int
-}
-
-// QCloudSimEnv bundles the simulation environment, cloud, and records —
-// the top-level object users interact with.
+// QCloudSimEnv is a batch run: the Broker fed from a job slice, with
+// every lifecycle event kept in a records.Manager. It is the top-level
+// object users interact with.
 type QCloudSimEnv struct {
 	// Env is the discrete-event kernel.
 	Env *sim.Environment
-	// Cloud manages devices and scheduling.
-	Cloud *QCloud
+	// Broker owns the fleet, the allocation policy and the pending-job
+	// queue. It corresponds to the paper's QCloud plus Broker: the
+	// device-selection step is delegated to the pluggable Policy (users
+	// implement policy.Policy for custom brokers).
+	Broker *Broker
 	// Records collects lifecycle events and metrics.
 	Records *records.Manager
+
+	// feeding counts submitted workloads whose last job has not yet
+	// arrived; calibration drift runs until it is zero and no job is
+	// executing.
+	submitted bool
+	feeding   int
 }
 
 // NewQCloudSimEnv assembles a simulation over the given fleet with the
 // given allocation policy.
 func NewQCloudSimEnv(env *sim.Environment, fleet []*device.Device, pol policy.Policy, cfg Config) (*QCloudSimEnv, error) {
-	if len(fleet) == 0 {
-		return nil, fmt.Errorf("core: empty device fleet")
-	}
-	if pol == nil {
-		return nil, fmt.Errorf("core: nil policy")
-	}
-	if err := cfg.validate(); err != nil {
+	rec := records.NewManager()
+	b, err := newBroker(env, fleet, pol, cfg, ManagerRecorder{M: rec}, batchWindowCap)
+	if err != nil {
 		return nil, err
 	}
-	rec := records.NewManager()
-	cloud := &QCloud{env: env, devices: fleet, pol: pol, rec: rec, cfg: cfg}
-	return &QCloudSimEnv{Env: env, Cloud: cloud, Records: rec}, nil
+	return &QCloudSimEnv{Env: env, Broker: b, Records: rec}, nil
 }
 
-// Devices returns the fleet.
-func (c *QCloud) Devices() []*device.Device { return c.devices }
-
-// Policy returns the active allocation policy.
-func (c *QCloud) Policy() policy.Policy { return c.pol }
-
-// PendingJobs returns the number of jobs waiting for allocation.
-func (c *QCloud) PendingJobs() int { return c.pending.Len() }
-
-// States snapshots the fleet for a policy decision.
-func (c *QCloud) States() []policy.DeviceState {
-	out := make([]policy.DeviceState, len(c.devices))
-	for i, d := range c.devices {
-		eps1Q, eps2Q, epsRO := d.MeanErrors()
-		out[i] = policy.DeviceState{
-			Index:       i,
-			Name:        d.Name(),
-			Free:        d.FreeQubits(),
-			Capacity:    d.NumQubits(),
-			ErrorScore:  d.ErrorScore(),
-			CLOPS:       d.CLOPS(),
-			Utilization: d.Utilization(),
-			Eps1Q:       eps1Q,
-			Eps2Q:       eps2Q,
-			EpsRO:       epsRO,
-		}
-	}
-	return out
-}
-
-// SubmitWorkload starts a JobGenerator process that releases each job at
-// its arrival time. Jobs must be sorted by arrival time.
+// SubmitWorkload releases each job into the Broker at its arrival time.
+// Jobs must be sorted by arrival time. One self-rescheduling timer walks
+// the slice: each firing admits every job that is due, in slice order,
+// and sleeps until the next arrival. The clock reaches an arrival as
+// now + (arrival - now), the sum a sleeping generator process computes.
 func (e *QCloudSimEnv) SubmitWorkload(jobs []*job.QJob) {
-	cloud := e.Cloud
-	cloud.workloadSubmitted = true
-	e.Env.NamedProcess("job-generator", func(p *sim.Proc) any {
-		for _, j := range jobs {
-			if j.ArrivalTime > p.Now() {
-				p.Sleep(j.ArrivalTime - p.Now())
+	e.submitted = true
+	e.feeding++
+	next := 0
+	var feed, wake func()
+	// feed admits every job due now, then sleeps until the next one.
+	feed = func() {
+		now := e.Env.Now()
+		for ; next < len(jobs); next++ {
+			if j := jobs[next]; j.ArrivalTime > now {
+				e.Env.AfterFunc(j.ArrivalTime-now, wake)
+				return
 			}
-			cloud.rec.LogArrival(j.ID, p.Now())
-			cloud.submit(j)
+			e.Broker.Admit(jobs[next])
 		}
-		cloud.generatorDone = true
-		return nil
-	})
+		e.feeding--
+	}
+	// wake admits the job it slept for, even where now+(arrival-now)
+	// rounded below the arrival, then carries on.
+	wake = func() {
+		e.Broker.Admit(jobs[next])
+		next++
+		feed()
+	}
+	e.Env.AfterFunc(0, feed)
 }
 
-// EnableCalibrationDrift starts a background recalibration process: every
+// EnableCalibrationDrift starts a background recalibration ticker: every
 // interval simulated seconds, each device's calibration takes one
 // multiplicative random-walk step of relative magnitude rel and its
 // error score is recomputed, so error-aware policies see *time-varying*
 // hardware quality — the dynamic variability the paper lists as absent
-// from its model (§7.2). The process stops once the workload completes.
-// It must be called after SubmitWorkload so it can observe completion.
+// from its model (§7.2). The ticker stops once every job has arrived and
+// none is executing: a queued job starts only on an arrival or a
+// release, never on a recalibration. It must be called after
+// SubmitWorkload so it can observe completion.
 func (e *QCloudSimEnv) EnableCalibrationDrift(interval, rel float64, seed int64) error {
 	if interval <= 0 {
 		return fmt.Errorf("core: drift interval %g", interval)
@@ -190,127 +166,24 @@ func (e *QCloudSimEnv) EnableCalibrationDrift(interval, rel float64, seed int64)
 	if rel < 0 {
 		return fmt.Errorf("core: drift magnitude %g", rel)
 	}
-	cloud := e.Cloud
-	if !cloud.workloadSubmitted {
+	if !e.submitted {
 		return fmt.Errorf("core: EnableCalibrationDrift requires a submitted workload")
 	}
 	rng := rand.New(rand.NewSource(seed))
-	e.Env.NamedProcess("calibration-drift", func(p *sim.Proc) any {
-		for {
-			p.Sleep(interval)
-			if cloud.generatorDone && cloud.pending.Len() == 0 && cloud.activeJobs == 0 {
-				return nil
-			}
-			for _, d := range cloud.devices {
-				if err := d.Recalibrate(calib.Drift(rng, d.Calibration(), rel)); err != nil {
-					panic(fmt.Sprintf("core: drift recalibration failed: %v", err))
-				}
-			}
-		}
-	})
-	return nil
-}
-
-// submit enqueues a job and attempts dispatch.
-func (c *QCloud) submit(j *job.QJob) {
-	c.pending.Push(j)
-	c.dispatch()
-}
-
-// dispatch places pending jobs until no further placement is possible.
-// In FIFO mode (default) only the head job is considered, so a blocked
-// head blocks the queue — keeping ordering fair across all policies. In
-// backfill mode later jobs that fit may skip ahead of a blocked head.
-// dispatch is called on job submission and on every qubit release.
-func (c *QCloud) dispatch() {
-	for {
-		placedAny := false
-		for idx := 0; idx < c.pending.Len(); idx++ {
-			j := c.pending.At(idx)
-			states := c.States()
-			allocs := c.pol.Allocate(j, states)
-			if allocs != nil {
-				if err := policy.Validate(j, states, allocs); err != nil {
-					panic(fmt.Sprintf("core: policy %q produced invalid allocation: %v", c.pol.Name(), err))
-				}
-				c.pending.RemoveAt(idx)
-				c.startJob(j, allocs)
-				placedAny = true
-				break
-			}
-			if !c.cfg.Backfill {
-				break
-			}
-		}
-		if !placedAny {
+	var tick func()
+	tick = func() {
+		if e.feeding == 0 && e.Broker.Active() == 0 {
 			return
 		}
-	}
-}
-
-// startJob reserves qubits and launches the job's execution process —
-// Algorithm 1 lines 6–14.
-func (c *QCloud) startJob(j *job.QJob, allocs []policy.Allocation) {
-	// Reserve synchronously: the policy guaranteed feasibility and no
-	// simulation time passes between decision and reservation.
-	grants := make([]*device.Allocation, len(allocs))
-	devNames := make([]string, len(allocs))
-	for i, a := range allocs {
-		g, err := c.devices[a.DeviceIndex].Allocate(a.Qubits)
-		if err != nil {
-			panic(fmt.Sprintf("core: reservation failed after validation: %v", err))
-		}
-		grants[i] = g
-		devNames[i] = c.devices[a.DeviceIndex].Name()
-	}
-	c.rec.LogStart(j.ID, c.env.Now())
-	c.activeJobs++
-
-	c.env.NamedProcess("job:"+j.ID, func(p *sim.Proc) any {
-		// Parallel execution: one timed sub-job per device; the job
-		// completes when the slowest partition finishes (T = max T_i).
-		subs := make([]*sim.Event, len(allocs))
-		for i, a := range allocs {
-			d := c.devices[a.DeviceIndex]
-			subs[i] = p.Env().Timeout(d.ProcessTime(c.cfg.M, c.cfg.K, j.Shots), d.Name())
-		}
-		if _, err := p.WaitAll(subs...); err != nil {
-			panic(fmt.Sprintf("core: sub-job failed: %v", err))
-		}
-
-		// Blocking classical communication across the k-1 links (Eq. 9).
-		commTime := metrics.CommunicationTime(j.NumQubits, c.cfg.Lambda, len(allocs))
-		if commTime > 0 {
-			p.Sleep(commTime)
-		}
-
-		fidelity := c.jobFidelity(j, allocs)
-
-		for _, g := range grants {
-			if err := g.Device.Release(g); err != nil {
-				panic(fmt.Sprintf("core: release failed: %v", err))
+		for _, d := range e.Broker.Devices() {
+			if err := d.Recalibrate(calib.Drift(rng, d.Calibration(), rel)); err != nil {
+				panic(fmt.Sprintf("core: drift recalibration failed: %v", err))
 			}
 		}
-		c.rec.LogFinish(j.ID, p.Now(), fidelity, commTime, devNames)
-		c.activeJobs--
-		c.dispatch()
-		return nil
-	})
-}
-
-// jobFidelity computes the job's final fidelity from per-partition
-// fidelities (Eqs. 4–8). Two-qubit gates are attributed to partitions in
-// proportion to their qubit share.
-func (c *QCloud) jobFidelity(j *job.QJob, allocs []policy.Allocation) float64 {
-	fids := make([]float64, len(allocs))
-	qubits := make([]int, len(allocs))
-	for i, a := range allocs {
-		eps1Q, eps2Q, epsRO := c.devices[a.DeviceIndex].MeanErrors()
-		t2i := int(math.Round(float64(j.TwoQubitGates) * float64(a.Qubits) / float64(j.NumQubits)))
-		fids[i] = metrics.PartitionFidelity(eps1Q, eps2Q, epsRO, j.Depth, a.Qubits, t2i)
-		qubits[i] = a.Qubits
+		e.Env.AfterFunc(interval, tick)
 	}
-	return metrics.FinalFidelity(fids, qubits, c.cfg.Phi)
+	e.Env.AfterFunc(0, func() { e.Env.AfterFunc(interval, tick) })
+	return nil
 }
 
 // Results summarizes a completed simulation in the paper's Table 2
@@ -337,13 +210,13 @@ type Results struct {
 // job exceeding cloud capacity under the active policy).
 func (e *QCloudSimEnv) Run() (Results, error) {
 	e.Env.Run()
-	if n := e.Records.NumPending(); n > 0 || e.Cloud.PendingJobs() > 0 {
+	if n := e.Records.NumPending(); n > 0 || e.Broker.QueueDepth() > 0 {
 		return Results{}, fmt.Errorf("core: %d jobs unfinished (policy %q cannot place them)",
-			n, e.Cloud.pol.Name())
+			n, e.Broker.Policy().Name())
 	}
 	mean, std := e.Records.FidelityMeanStd()
 	return Results{
-		Policy:            e.Cloud.pol.Name(),
+		Policy:            e.Broker.Policy().Name(),
 		TotalSimTime:      e.Records.Makespan(),
 		FidelityMean:      mean,
 		FidelityStd:       std,

@@ -99,8 +99,8 @@ func TestSingleJobLifecycle(t *testing.T) {
 		t.Fatal("finish time does not include processing")
 	}
 	// All qubits must be back.
-	if device.TotalFree(e.Cloud.Devices()) != 635 {
-		t.Fatalf("qubits leaked: free = %d", device.TotalFree(e.Cloud.Devices()))
+	if device.TotalFree(e.Broker.Devices()) != 635 {
+		t.Fatalf("qubits leaked: free = %d", device.TotalFree(e.Broker.Devices()))
 	}
 }
 
@@ -240,10 +240,10 @@ func TestNoQubitLeaksAcrossManyJobs(t *testing.T) {
 		if _, err := e.Run(); err != nil {
 			t.Fatalf("%s: %v", pol.Name(), err)
 		}
-		if free := device.TotalFree(e.Cloud.Devices()); free != 635 {
+		if free := device.TotalFree(e.Broker.Devices()); free != 635 {
 			t.Fatalf("%s: leaked qubits, free = %d", pol.Name(), free)
 		}
-		if e.Cloud.PendingJobs() != 0 {
+		if e.Broker.QueueDepth() != 0 {
 			t.Fatalf("%s: pending jobs remain", pol.Name())
 		}
 	}

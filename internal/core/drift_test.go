@@ -1,9 +1,12 @@
 package core
 
 import (
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/device"
+	"repro/internal/job"
 	"repro/internal/policy"
 )
 
@@ -28,7 +31,7 @@ func TestCalibrationDriftValidation(t *testing.T) {
 func TestCalibrationDriftChangesScoresAndTerminates(t *testing.T) {
 	e := buildEnv(t, policy.Speed{})
 	before := make(map[string]float64)
-	for _, d := range e.Cloud.Devices() {
+	for _, d := range e.Broker.Devices() {
 		before[d.Name()] = d.ErrorScore()
 	}
 	e.SubmitWorkload(smallWorkload(t, 30))
@@ -43,7 +46,7 @@ func TestCalibrationDriftChangesScoresAndTerminates(t *testing.T) {
 		t.Fatalf("finished = %d", res.JobsFinished)
 	}
 	changed := 0
-	for _, d := range e.Cloud.Devices() {
+	for _, d := range e.Broker.Devices() {
 		if d.ErrorScore() != before[d.Name()] {
 			changed++
 		}
@@ -83,7 +86,7 @@ func TestCalibrationDriftReroutesFidelityPolicy(t *testing.T) {
 	if driftDevices <= staticDevices {
 		t.Fatalf("drift should spread load: static %d devices, drift %d", staticDevices, driftDevices)
 	}
-	if free := device.TotalFree(driftEnv.Cloud.Devices()); free != 635 {
+	if free := device.TotalFree(driftEnv.Broker.Devices()); free != 635 {
 		t.Fatalf("leaked qubits under drift: %d", free)
 	}
 }
@@ -122,5 +125,32 @@ func TestDriftStopsPromptly(t *testing.T) {
 	}
 	if end := e.Env.Now(); end > res.TotalSimTime+interval {
 		t.Fatalf("drift process overran: env ended at %g, last job at %g", end, res.TotalSimTime)
+	}
+}
+
+// A job larger than the fleet can never start. With drift on, Run must
+// still return the unfinished-jobs error once the other work is done,
+// not recalibrate an idle fleet forever.
+func TestCalibrationDriftStopsWithUnplaceableJob(t *testing.T) {
+	e := buildEnv(t, policy.Speed{})
+	e.SubmitWorkload([]*job.QJob{
+		{ID: "fits", NumQubits: 190, Depth: 10, Shots: 40000, TwoQubitGates: 475},
+		{ID: "too-big", NumQubits: 700, Depth: 5, Shots: 1000, TwoQubitGates: 1, ArrivalTime: 10},
+	})
+	if err := e.EnableCalibrationDrift(3600, 0.2, 1); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := e.Run()
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "1 jobs unfinished") {
+			t.Fatalf("Run error = %v, want 1 jobs unfinished", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("Run did not return: calibration drift kept the simulation alive")
 	}
 }

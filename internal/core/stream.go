@@ -264,6 +264,7 @@ type jobRun struct {
 	fids     []float64
 	qubits   []int
 	procFn   func()
+	joinFn   func()
 	commFn   func()
 }
 
@@ -272,6 +273,16 @@ type jobRun struct {
 // metrics windows (per tenant and global). Calibration drift is a
 // batch-run feature and is rejected here.
 func NewBroker(env *sim.Environment, fleet []*device.Device, pol policy.Policy, cfg Config, rec StreamRecorder, windowCap int) (*Broker, error) {
+	if cfg.Drift.Enabled() {
+		return nil, fmt.Errorf("core: broker mode does not support calibration drift")
+	}
+	return newBroker(env, fleet, pol, cfg, rec, windowCap)
+}
+
+// newBroker is NewBroker without the drift check. A batch run builds its
+// broker here: QCloudSimEnv drives drift itself, through
+// EnableCalibrationDrift.
+func newBroker(env *sim.Environment, fleet []*device.Device, pol policy.Policy, cfg Config, rec StreamRecorder, windowCap int) (*Broker, error) {
 	if len(fleet) == 0 {
 		return nil, fmt.Errorf("core: empty device fleet")
 	}
@@ -283,9 +294,6 @@ func NewBroker(env *sim.Environment, fleet []*device.Device, pol policy.Policy, 
 	}
 	if err := cfg.validate(); err != nil {
 		return nil, err
-	}
-	if cfg.Drift.Enabled() {
-		return nil, fmt.Errorf("core: broker mode does not support calibration drift")
 	}
 	if windowCap <= 0 {
 		return nil, fmt.Errorf("core: window capacity %d", windowCap)
@@ -560,6 +568,7 @@ func (b *Broker) getRun() *jobRun {
 		qubits:   make([]int, 0, nd),
 	}
 	jr.procFn = jr.onProcessed
+	jr.joinFn = jr.onJoined
 	jr.commFn = jr.finish
 	return jr
 }
@@ -600,11 +609,21 @@ func (b *Broker) start(pj pendingJob, allocs []policy.Allocation) {
 	b.env.AfterFunc(maxProc, jr.procFn)
 }
 
-// onProcessed fires when the slowest partition finishes; blocking
-// classical communication across the k-1 links follows (Eq. 9).
+// onProcessed fires when the slowest partition finishes. The partitions
+// join one zero-delay step later, behind every event already due at
+// this instant: an arrival or a recalibration at the same time is seen
+// before the job completes, as in a SimPy process waiting on AllOf.
 //
 //repro:noalloc
 func (jr *jobRun) onProcessed() {
+	jr.br.env.AfterFunc(0, jr.joinFn)
+}
+
+// onJoined fires once the partitions have joined; blocking classical
+// communication across the k-1 links follows (Eq. 9).
+//
+//repro:noalloc
+func (jr *jobRun) onJoined() {
 	if jr.commTime > 0 {
 		jr.br.env.AfterFunc(jr.commTime, jr.commFn)
 		return

@@ -59,10 +59,10 @@ func TestFeatureMatrix(t *testing.T) {
 					if res.JobsFinished != len(jobs) {
 						t.Fatalf("finished %d of %d", res.JobsFinished, len(jobs))
 					}
-					if free := device.TotalFree(simEnv.Cloud.Devices()); free != 635 {
+					if free := device.TotalFree(simEnv.Broker.Devices()); free != 635 {
 						t.Fatalf("leaked qubits: free=%d", free)
 					}
-					if simEnv.Cloud.PendingJobs() != 0 {
+					if simEnv.Broker.QueueDepth() != 0 {
 						t.Fatal("pending jobs remain")
 					}
 					if res.FidelityMean <= 0 || res.FidelityMean >= 1 {
