@@ -33,8 +33,8 @@ func admitWorkload(t *testing.T, b *Broker, jobs []*job.QJob) {
 	}
 }
 
-// batchCSV runs the goroutine-based batch simulator and exports its
-// per-job records.
+// batchCSV runs the batch driver, QCloudSimEnv, and exports its per-job
+// records.
 func batchCSV(t *testing.T, jobs []*job.QJob, mkPol func() policy.Policy, cfg Config) []byte {
 	t.Helper()
 	env := sim.NewEnvironment()
@@ -145,8 +145,8 @@ func TestBrokerCountsAndWindows(t *testing.T) {
 	if !b.Quiescent() || b.Active() != 0 || b.QueueDepth() != 0 {
 		t.Fatalf("broker not quiescent after drain: active=%d depth=%d", b.Active(), b.QueueDepth())
 	}
-	if got := env.ActiveProcs(); got != 0 {
-		t.Fatalf("ActiveProcs = %d after drained serve session", got)
+	if got := env.QueueLen(); got != 0 {
+		t.Fatalf("QueueLen = %d after drained serve session", got)
 	}
 	tw := b.Windows()
 	if tw.Global().Len() != 16 {

@@ -203,43 +203,13 @@ func (d *Device) CanAllocate(q int) bool {
 	return d.topo.LargestAvailableComponent(d.freeList()) >= q
 }
 
-// Allocate reserves q qubits immediately. The caller must have
-// established feasibility (CanAllocate); Allocate returns an error if the
-// reservation cannot be satisfied synchronously, which indicates a
-// scheduler bug rather than a transient condition.
-func (d *Device) Allocate(q int) (*Allocation, error) {
-	if q <= 0 {
-		return nil, fmt.Errorf("device %s: allocate %d qubits", d.name, q)
-	}
-	if q > d.FreeQubits() {
-		return nil, fmt.Errorf("device %s: allocate %d with only %d free", d.name, q, d.FreeQubits())
-	}
-	alloc := &Allocation{Device: d, Qubits: q}
-	if d.strict {
-		sub := d.topo.ConnectedSubgraph(q, d.freeList())
-		if sub == nil {
-			return nil, fmt.Errorf("device %s: no connected %d-qubit region free", d.name, q)
-		}
-		for _, v := range sub {
-			delete(d.freeSet, v)
-		}
-		alloc.PhysicalQubits = sub
-	}
-	d.accrue()
-	ev := d.container.Get(float64(q))
-	if !ev.Triggered() {
-		// Impossible given the level check above; fail loudly.
-		panic(fmt.Sprintf("device %s: synchronous Get(%d) blocked", d.name, q))
-	}
-	d.jobsRun++
-	return alloc, nil
-}
-
 // AllocateInto reserves q qubits immediately into a caller-owned
-// Allocation, which may be reused across reservations: the streaming
-// broker recycles grant structs so its steady-state admit→complete cycle
-// never allocates. Semantics match Allocate; strict-topology mode still
-// allocates for the physical-qubit assignment.
+// Allocation, which may be reused across reservations: the broker
+// recycles grant structs so its steady-state admit→complete cycle never
+// allocates. The caller must have established feasibility (CanAllocate);
+// an error means the reservation cannot be satisfied, which indicates a
+// scheduler bug rather than a transient condition. Strict-topology mode
+// still allocates for the physical-qubit assignment.
 func (d *Device) AllocateInto(q int, a *Allocation) error {
 	if q <= 0 {
 		return fmt.Errorf("device %s: allocate %d qubits", d.name, q)
@@ -270,10 +240,9 @@ func (d *Device) AllocateInto(q int, a *Allocation) error {
 	return nil
 }
 
-// ReleaseDirect returns an allocation's qubits synchronously without
-// creating a deposit event — the event-free counterpart of Release for
-// allocation-gated steady-state code. Blocked Get requests the deposit
-// unblocks are still served.
+// ReleaseDirect returns an allocation's qubits to the device. Releasing
+// twice is an error (the scheduler must own allocation lifecycles
+// exactly).
 func (d *Device) ReleaseDirect(a *Allocation) error {
 	if a.Device != d {
 		return fmt.Errorf("device %s: release of allocation from %s", d.name, a.Device.name)
@@ -286,26 +255,6 @@ func (d *Device) ReleaseDirect(a *Allocation) error {
 	if !d.container.TryPut(float64(a.Qubits)) {
 		panic(fmt.Sprintf("device %s: synchronous TryPut(%d) blocked", d.name, a.Qubits))
 	}
-	if d.strict {
-		for _, v := range a.PhysicalQubits {
-			d.freeSet[v] = true
-		}
-	}
-	return nil
-}
-
-// Release returns an allocation's qubits to the device. Releasing twice
-// is an error (the scheduler must own allocation lifecycles exactly).
-func (d *Device) Release(a *Allocation) error {
-	if a.Device != d {
-		return fmt.Errorf("device %s: release of allocation from %s", d.name, a.Device.name)
-	}
-	if a.released {
-		return fmt.Errorf("device %s: double release", d.name)
-	}
-	a.released = true
-	d.accrue()
-	d.container.Put(float64(a.Qubits))
 	if d.strict {
 		for _, v := range a.PhysicalQubits {
 			d.freeSet[v] = true

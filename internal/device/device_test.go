@@ -73,11 +73,20 @@ func TestNewDeviceValidation(t *testing.T) {
 	}
 }
 
+// allocate reserves q qubits on d into a fresh grant.
+func allocate(d *Device, q int) (*Allocation, error) {
+	a := &Allocation{}
+	if err := d.AllocateInto(q, a); err != nil {
+		return nil, err
+	}
+	return a, nil
+}
+
 func TestAllocateRelease(t *testing.T) {
 	_, d := testDevice(t)
-	a, err := d.Allocate(6)
+	a, err := allocate(d, 6)
 	if err != nil {
-		t.Fatalf("Allocate: %v", err)
+		t.Fatalf("AllocateInto: %v", err)
 	}
 	if d.FreeQubits() != 4 {
 		t.Fatalf("free = %d, want 4", d.FreeQubits())
@@ -85,30 +94,34 @@ func TestAllocateRelease(t *testing.T) {
 	if !d.CanAllocate(4) || d.CanAllocate(5) {
 		t.Fatal("CanAllocate wrong after partial reservation")
 	}
-	if err := d.Release(a); err != nil {
-		t.Fatalf("Release: %v", err)
+	if err := d.ReleaseDirect(a); err != nil {
+		t.Fatalf("ReleaseDirect: %v", err)
 	}
 	if d.FreeQubits() != 10 {
 		t.Fatalf("free = %d after release", d.FreeQubits())
+	}
+	// A released grant can be reused for the next reservation.
+	if err := d.AllocateInto(3, a); err != nil || d.FreeQubits() != 7 {
+		t.Fatalf("reused grant: err %v, free %d", err, d.FreeQubits())
 	}
 }
 
 func TestAllocateErrors(t *testing.T) {
 	_, d := testDevice(t)
-	if _, err := d.Allocate(0); err == nil {
-		t.Error("Allocate(0) accepted")
+	if _, err := allocate(d, 0); err == nil {
+		t.Error("allocation of 0 qubits accepted")
 	}
-	if _, err := d.Allocate(11); err == nil {
+	if _, err := allocate(d, 11); err == nil {
 		t.Error("over-capacity allocation accepted")
 	}
-	a, _ := d.Allocate(10)
-	if _, err := d.Allocate(1); err == nil {
+	a, _ := allocate(d, 10)
+	if _, err := allocate(d, 1); err == nil {
 		t.Error("allocation on full device accepted")
 	}
-	if err := d.Release(a); err != nil {
+	if err := d.ReleaseDirect(a); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Release(a); err == nil {
+	if err := d.ReleaseDirect(a); err == nil {
 		t.Error("double release accepted")
 	}
 }
@@ -116,17 +129,17 @@ func TestAllocateErrors(t *testing.T) {
 func TestReleaseWrongDevice(t *testing.T) {
 	_, d1 := testDevice(t)
 	_, d2 := testDevice(t)
-	a, _ := d1.Allocate(2)
-	if err := d2.Release(a); err == nil {
+	a, _ := allocate(d1, 2)
+	if err := d2.ReleaseDirect(a); err == nil {
 		t.Error("cross-device release accepted")
 	}
 }
 
 func TestStrictTopologyAllocationsConnected(t *testing.T) {
 	_, d := testDevice(t, WithStrictTopology())
-	a, err := d.Allocate(4)
+	a, err := allocate(d, 4)
 	if err != nil {
-		t.Fatalf("Allocate: %v", err)
+		t.Fatalf("AllocateInto: %v", err)
 	}
 	if len(a.PhysicalQubits) != 4 {
 		t.Fatalf("physical qubits = %v", a.PhysicalQubits)
@@ -155,7 +168,7 @@ func TestStrictTopologyFragmentation(t *testing.T) {
 	// then check the remaining 4 fragment behaviour generically: free
 	// set is whatever remains; the largest component bounds what is
 	// allocatable.
-	a, err := d.Allocate(6)
+	a, err := allocate(d, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +179,7 @@ func TestStrictTopologyFragmentation(t *testing.T) {
 	if largest > 0 && !d.CanAllocate(largest) {
 		t.Fatalf("CanAllocate(%d) false with fragment of that size", largest)
 	}
-	if err := d.Release(a); err != nil {
+	if err := d.ReleaseDirect(a); err != nil {
 		t.Fatal(err)
 	}
 	if !d.CanAllocate(10) {
@@ -176,19 +189,16 @@ func TestStrictTopologyFragmentation(t *testing.T) {
 
 func TestUtilizationAccounting(t *testing.T) {
 	env, d := testDevice(t)
-	env.Process(func(p *sim.Proc) any {
-		a, err := d.Allocate(5) // 50% of qubits
-		if err != nil {
-			t.Errorf("Allocate: %v", err)
-			return nil
+	a, err := allocate(d, 5) // 50% of qubits
+	if err != nil {
+		t.Fatalf("AllocateInto: %v", err)
+	}
+	env.AfterFunc(100, func() {
+		if err := d.ReleaseDirect(a); err != nil {
+			t.Errorf("ReleaseDirect: %v", err)
 		}
-		p.Sleep(100)
-		if err := d.Release(a); err != nil {
-			t.Errorf("Release: %v", err)
-		}
-		p.Sleep(100)
-		return nil
 	})
+	env.AfterFunc(200, func() {})
 	env.Run()
 	// Busy 5 qubits for 100 of 200 seconds => utilization 0.25.
 	if u := d.Utilization(); math.Abs(u-0.25) > 1e-9 {

@@ -4,21 +4,11 @@ import "fmt"
 
 // Container models a homogeneous, divisible resource pool such as the
 // free qubits of a quantum device (the paper's device.container.level).
-// Get and Put return events that succeed when the requested amount has
-// been withdrawn or deposited. Requests are served strictly FIFO: a large
-// blocked Get is not overtaken by smaller later ones, which keeps qubit
-// reservation starvation-free.
+// Withdrawals and deposits are synchronous: TryGet and TryPut either
+// happen at once or report that they cannot.
 type Container struct {
-	env      *Environment
 	capacity float64
 	level    float64
-	getQ     []contReq
-	putQ     []contReq
-}
-
-type contReq struct {
-	amount float64
-	ev     *Event
 }
 
 // NewContainer creates a container with the given capacity and initial
@@ -30,7 +20,7 @@ func (env *Environment) NewContainer(capacity, initial float64) *Container {
 	if initial < 0 || initial > capacity {
 		panic(fmt.Sprintf("sim: container initial level %g outside [0,%g]", initial, capacity))
 	}
-	return &Container{env: env, capacity: capacity, level: initial}
+	return &Container{capacity: capacity, level: initial}
 }
 
 // Capacity returns the container's maximum level.
@@ -42,105 +32,28 @@ func (c *Container) Level() float64 { return c.level }
 // InUse returns capacity minus level: the amount currently withdrawn.
 func (c *Container) InUse() float64 { return c.capacity - c.level }
 
-// GetQueueLen returns the number of blocked Get requests.
-func (c *Container) GetQueueLen() int { return len(c.getQ) }
-
-// PutQueueLen returns the number of blocked Put requests.
-func (c *Container) PutQueueLen() int { return len(c.putQ) }
-
-// Get requests amount units from the container. The returned event
-// succeeds (with the amount as value) once the units have been withdrawn.
-// If enough is available and no earlier request is queued, the withdrawal
-// happens immediately and the event is scheduled at the current time.
-func (c *Container) Get(amount float64) *Event {
-	if amount < 0 {
-		panic(fmt.Sprintf("sim: Container.Get negative amount %g", amount))
-	}
-	if amount > c.capacity {
-		panic(fmt.Sprintf("sim: Container.Get amount %g exceeds capacity %g (would never be served)", amount, c.capacity))
-	}
-	ev := c.env.NewEvent().SetName("container.get")
-	c.getQ = append(c.getQ, contReq{amount, ev})
-	c.drain()
-	return ev
-}
-
-// Put deposits amount units into the container. The returned event
-// succeeds once the deposit fits (level+amount <= capacity). Deposits are
-// also FIFO.
-func (c *Container) Put(amount float64) *Event {
-	if amount < 0 {
-		panic(fmt.Sprintf("sim: Container.Put negative amount %g", amount))
-	}
-	if amount > c.capacity {
-		panic(fmt.Sprintf("sim: Container.Put amount %g exceeds capacity %g (would never fit)", amount, c.capacity))
-	}
-	ev := c.env.NewEvent().SetName("container.put")
-	c.putQ = append(c.putQ, contReq{amount, ev})
-	c.drain()
-	return ev
-}
-
-// TryGet withdraws amount units synchronously if the container can serve
-// the request right now — enough is available and no earlier Get is
-// queued (overtaking would break the FIFO starvation guarantee). It
-// reports whether the withdrawal happened. Unlike Get it creates no
-// event, so a steady-state caller allocates nothing.
+// TryGet withdraws amount units if that many are available and reports
+// whether the withdrawal happened.
 func (c *Container) TryGet(amount float64) bool {
 	if amount < 0 {
 		panic(fmt.Sprintf("sim: Container.TryGet negative amount %g", amount))
 	}
-	if len(c.getQ) > 0 || amount > c.level {
+	if amount > c.level {
 		return false
 	}
 	c.level -= amount
 	return true
 }
 
-// TryPut deposits amount units synchronously if the deposit fits and no
-// earlier Put is queued, then serves any requests the new level unblocks.
-// It reports whether the deposit happened. Like TryGet it creates no
-// event for the deposit itself.
+// TryPut deposits amount units if the deposit fits under the capacity
+// and reports whether it happened.
 func (c *Container) TryPut(amount float64) bool {
 	if amount < 0 {
 		panic(fmt.Sprintf("sim: Container.TryPut negative amount %g", amount))
 	}
-	if len(c.putQ) > 0 || c.level+amount > c.capacity {
+	if c.level+amount > c.capacity {
 		return false
 	}
 	c.level += amount
-	c.drain()
 	return true
-}
-
-// drain serves queued puts and gets FIFO until the head of each queue can
-// no longer proceed. Puts are attempted first so that a release and a
-// waiting acquisition at the same timestamp pair up.
-func (c *Container) drain() {
-	for {
-		progressed := false
-		for len(c.putQ) > 0 {
-			req := c.putQ[0]
-			if c.level+req.amount > c.capacity {
-				break
-			}
-			c.level += req.amount
-			c.putQ = c.putQ[1:]
-			req.ev.Succeed(req.amount)
-			progressed = true
-		}
-		for len(c.getQ) > 0 {
-			req := c.getQ[0]
-			if req.amount > c.level {
-				break
-			}
-			c.level -= req.amount
-			c.getQ = c.getQ[1:]
-			req.ev.Succeed(req.amount)
-			progressed = true
-		}
-		if !progressed {
-			return
-		}
-	}
 }

@@ -8,86 +8,31 @@ import (
 func TestContainerImmediateGet(t *testing.T) {
 	env := NewEnvironment()
 	c := env.NewContainer(127, 127)
-	ev := c.Get(50)
+	if !c.TryGet(50) {
+		t.Fatal("TryGet(50) refused on a full container")
+	}
 	if c.Level() != 77 {
 		t.Fatalf("level = %g, want 77 (withdrawal is immediate)", c.Level())
 	}
-	env.Run()
-	if !ev.Processed() {
-		t.Fatal("get event should be processed")
+	if c.TryGet(78) {
+		t.Fatal("TryGet(78) granted with 77 available")
 	}
-	if ev.Value() != 50.0 {
-		t.Fatalf("value = %v, want 50", ev.Value())
-	}
-}
-
-func TestContainerBlockedGetServedByPut(t *testing.T) {
-	env := NewEnvironment()
-	c := env.NewContainer(100, 10)
-	var servedAt float64 = -1
-	env.Process(func(pr *Proc) any {
-		pr.MustWait(c.Get(60))
-		servedAt = pr.Now()
-		return nil
-	})
-	env.Process(func(pr *Proc) any {
-		pr.Sleep(25)
-		pr.MustWait(c.Put(50))
-		return nil
-	})
-	env.Run()
-	if servedAt != 25 {
-		t.Fatalf("get served at %g, want 25", servedAt)
-	}
-	if c.Level() != 0 {
-		t.Fatalf("level = %g, want 0", c.Level())
-	}
-}
-
-func TestContainerFIFONoOvertaking(t *testing.T) {
-	env := NewEnvironment()
-	c := env.NewContainer(100, 0)
-	var order []string
-	env.Process(func(pr *Proc) any { // big request first
-		pr.MustWait(c.Get(80))
-		order = append(order, "big")
-		return nil
-	})
-	env.Process(func(pr *Proc) any { // small request second
-		pr.MustWait(c.Get(10))
-		order = append(order, "small")
-		return nil
-	})
-	env.Process(func(pr *Proc) any {
-		pr.Sleep(1)
-		c.Put(30) // not enough for big; small must NOT overtake
-		pr.Sleep(1)
-		c.Put(70) // now big is served, then small
-		return nil
-	})
-	env.Run()
-	if len(order) != 2 || order[0] != "big" || order[1] != "small" {
-		t.Fatalf("order = %v, want [big small]", order)
+	if c.Level() != 77 {
+		t.Fatalf("level = %g after a refused TryGet, want 77", c.Level())
 	}
 }
 
 func TestContainerPutBlocksWhenFull(t *testing.T) {
 	env := NewEnvironment()
 	c := env.NewContainer(50, 40)
-	var putAt float64 = -1
-	env.Process(func(pr *Proc) any {
-		pr.MustWait(c.Put(20)) // 40+20 > 50, must wait
-		putAt = pr.Now()
-		return nil
-	})
-	env.Process(func(pr *Proc) any {
-		pr.Sleep(5)
-		pr.MustWait(c.Get(15))
-		return nil
-	})
-	env.Run()
-	if putAt != 5 {
-		t.Fatalf("put completed at %g, want 5", putAt)
+	if c.TryPut(20) { // 40+20 > 50
+		t.Fatal("TryPut(20) accepted over capacity")
+	}
+	if c.Level() != 40 {
+		t.Fatalf("level = %g after a refused TryPut, want 40", c.Level())
+	}
+	if !c.TryGet(15) || !c.TryPut(20) {
+		t.Fatal("TryPut(20) refused after TryGet(15) made room")
 	}
 	if c.Level() != 45 {
 		t.Fatalf("level = %g, want 45", c.Level())
@@ -97,24 +42,9 @@ func TestContainerPutBlocksWhenFull(t *testing.T) {
 func TestContainerInUse(t *testing.T) {
 	env := NewEnvironment()
 	c := env.NewContainer(127, 127)
-	c.Get(100)
+	c.TryGet(100)
 	if c.InUse() != 100 {
 		t.Fatalf("InUse = %g, want 100", c.InUse())
-	}
-}
-
-func TestContainerQueueLengths(t *testing.T) {
-	env := NewEnvironment()
-	c := env.NewContainer(10, 0)
-	c.Get(5)
-	c.Get(3)
-	if c.GetQueueLen() != 2 {
-		t.Fatalf("GetQueueLen = %d, want 2", c.GetQueueLen())
-	}
-	c2 := env.NewContainer(10, 10)
-	c2.Put(1)
-	if c2.PutQueueLen() != 1 {
-		t.Fatalf("PutQueueLen = %d, want 1", c2.PutQueueLen())
 	}
 }
 
@@ -124,10 +54,8 @@ func TestContainerInvalidArgsPanic(t *testing.T) {
 		func() { env.NewContainer(0, 0) },
 		func() { env.NewContainer(10, -1) },
 		func() { env.NewContainer(10, 11) },
-		func() { env.NewContainer(10, 5).Get(-1) },
-		func() { env.NewContainer(10, 5).Get(11) },
-		func() { env.NewContainer(10, 5).Put(-1) },
-		func() { env.NewContainer(10, 5).Put(11) },
+		func() { env.NewContainer(10, 5).TryGet(-1) },
+		func() { env.NewContainer(10, 5).TryPut(-1) },
 	}
 	for i, fn := range cases {
 		func() {
@@ -149,27 +77,29 @@ func TestPropertyContainerConservation(t *testing.T) {
 		cap := 255.0
 		c := env.NewContainer(cap, cap)
 		outstanding := 0.0
-		env.Process(func(pr *Proc) any {
-			for _, a := range amounts {
-				amt := float64(a%100) + 1
-				pr.MustWait(c.Get(amt))
+		ok := true
+		for i, a := range amounts {
+			amt := float64(a%100) + 1
+			env.AfterFunc(float64(2*i), func() {
+				ok = ok && c.TryGet(amt)
 				outstanding += amt
-				pr.Sleep(1)
-				pr.MustWait(c.Put(amt))
+			})
+			env.AfterFunc(float64(2*i+1), func() {
+				ok = ok && c.TryPut(amt)
 				outstanding -= amt
-			}
-			return nil
-		})
+			})
+		}
 		env.Run()
-		return c.Level() == cap && outstanding == 0
+		return ok && c.Level() == cap && outstanding == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// Property: with concurrent getters each taking then returning qubits,
-// the container never goes negative and ends full.
+// Property: with concurrent workers each taking then returning qubits,
+// retrying a step later when too few are free, the container never goes
+// negative, every worker is served, and it ends full.
 func TestPropertyContainerConcurrentWorkers(t *testing.T) {
 	f := func(seeds []uint8) bool {
 		if len(seeds) == 0 {
@@ -178,21 +108,26 @@ func TestPropertyContainerConcurrentWorkers(t *testing.T) {
 		env := NewEnvironment()
 		c := env.NewContainer(127, 127)
 		negative := false
+		served := 0
 		for _, s := range seeds {
 			amt := float64(s%127) + 1
 			hold := float64(s%7) + 1
-			env.Process(func(pr *Proc) any {
-				pr.MustWait(c.Get(amt))
+			var try func()
+			try = func() {
+				if !c.TryGet(amt) {
+					env.AfterFunc(1, try)
+					return
+				}
+				served++
 				if c.Level() < 0 {
 					negative = true
 				}
-				pr.Sleep(hold)
-				pr.MustWait(c.Put(amt))
-				return nil
-			})
+				env.AfterFunc(hold, func() { c.TryPut(amt) })
+			}
+			env.AfterFunc(0, try)
 		}
 		env.Run()
-		return !negative && c.Level() == 127 && c.GetQueueLen() == 0
+		return !negative && served == len(seeds) && c.Level() == 127
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)

@@ -1,31 +1,25 @@
 // Package sim implements a deterministic discrete-event simulation (DES)
-// kernel modeled after SimPy, the engine the original quantum-cloud
-// scheduling framework was built on.
+// kernel: a clock and a queue of timer callbacks.
 //
 // The kernel provides:
 //
-//   - Environment: the event loop. Events are ordered by (time, priority,
-//     sequence number), so simulations are fully deterministic.
-//   - Event: a one-shot occurrence carrying a value or an error, with
-//     callbacks that run when the event is processed.
-//   - Process: a coroutine implemented as a goroutine with strict
-//     hand-off scheduling. Exactly one goroutine (either the scheduler or
-//     a single process) runs at any instant, so process code needs no
-//     locking and observes the same semantics as SimPy generators.
-//   - Timeout, AllOf, AnyOf: composite and timed events.
-//   - Container, Resource, Store: shared-resource primitives with FIFO
-//     queueing, mirroring simpy.Container / simpy.Resource / simpy.Store.
+//   - Environment: the event loop. AfterFunc schedules a callback at
+//     now+delay; callbacks fire in (time, scheduling order), so
+//     simulations are fully deterministic. Run drains the queue;
+//     AdvanceTo and StepWithin let a long-running broker map external
+//     (wall or scaled) time onto the simulation.
+//   - Container: a divisible resource pool with synchronous TryGet and
+//     TryPut, mirroring the level of a simpy.Container.
 //
 // A minimal simulation:
 //
 //	env := sim.NewEnvironment()
-//	env.Process(func(p *sim.Proc) {
-//	    p.Sleep(10)
-//	    fmt.Println("woke at", p.Now())
+//	env.AfterFunc(10, func() {
+//	    fmt.Println("woke at", env.Now())
 //	})
 //	env.Run()
 //
-// The quantum-cloud layers (internal/core, internal/device) use Container
-// to model qubit pools and Process to model job lifecycles, exactly as the
-// paper's SimPy implementation does.
+// The quantum-cloud layers use Container for each device's qubit pool
+// (internal/device) and chains of AfterFunc callbacks for job lifecycles
+// (internal/core's Broker).
 package sim

@@ -24,22 +24,10 @@ func TestNewEnvironmentAt(t *testing.T) {
 
 func TestTimeoutAdvancesClock(t *testing.T) {
 	env := NewEnvironment()
-	env.Timeout(10, nil)
+	env.AfterFunc(10, func() {})
 	end := env.Run()
 	if end != 10 {
 		t.Fatalf("Run() = %g, want 10", end)
-	}
-}
-
-func TestTimeoutValueDelivered(t *testing.T) {
-	env := NewEnvironment()
-	ev := env.Timeout(3, "payload")
-	v, err := env.RunUntilEvent(ev)
-	if err != nil {
-		t.Fatalf("unexpected error: %v", err)
-	}
-	if v != "payload" {
-		t.Fatalf("value = %v, want payload", v)
 	}
 }
 
@@ -48,7 +36,7 @@ func TestEventsProcessedInTimeOrder(t *testing.T) {
 	var order []float64
 	for _, d := range []float64{5, 1, 3, 2, 4} {
 		d := d
-		env.Timeout(d, nil).OnProcessed(func(*Event) {
+		env.AfterFunc(d, func() {
 			order = append(order, d)
 		})
 	}
@@ -66,7 +54,7 @@ func TestSameTimeEventsFIFO(t *testing.T) {
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		env.Timeout(7, nil).OnProcessed(func(*Event) {
+		env.AfterFunc(7, func() {
 			order = append(order, i)
 		})
 	}
@@ -81,8 +69,8 @@ func TestSameTimeEventsFIFO(t *testing.T) {
 func TestRunUntilStopsAtBoundary(t *testing.T) {
 	env := NewEnvironment()
 	fired := 0
-	env.Timeout(5, nil).OnProcessed(func(*Event) { fired++ })
-	env.Timeout(15, nil).OnProcessed(func(*Event) { fired++ })
+	env.AfterFunc(5, func() { fired++ })
+	env.AfterFunc(15, func() { fired++ })
 	end := env.RunUntil(10)
 	if end != 10 {
 		t.Fatalf("RunUntil = %g, want 10", end)
@@ -100,7 +88,7 @@ func TestRunUntilStopsAtBoundary(t *testing.T) {
 func TestRunUntilInclusiveOfBoundaryEvents(t *testing.T) {
 	env := NewEnvironment()
 	fired := false
-	env.Timeout(10, nil).OnProcessed(func(*Event) { fired = true })
+	env.AfterFunc(10, func() { fired = true })
 	env.RunUntil(10)
 	if !fired {
 		t.Fatal("event at exactly the boundary should fire")
@@ -129,7 +117,7 @@ func TestPeek(t *testing.T) {
 	if !math.IsInf(env.Peek(), 1) {
 		t.Fatalf("Peek on empty queue = %g, want +Inf", env.Peek())
 	}
-	env.Timeout(9, nil)
+	env.AfterFunc(9, func() {})
 	if env.Peek() != 9 {
 		t.Fatalf("Peek = %g, want 9", env.Peek())
 	}
@@ -142,74 +130,10 @@ func TestNegativeDelayPanics(t *testing.T) {
 			t.Fatal("expected panic for negative delay")
 		}
 	}()
-	env.Timeout(-1, nil)
+	env.AfterFunc(-1, func() {})
 }
 
-func TestEventDoubleSucceedPanics(t *testing.T) {
-	env := NewEnvironment()
-	ev := env.NewEvent()
-	ev.Succeed(nil)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for double Succeed")
-		}
-	}()
-	ev.Succeed(nil)
-}
-
-func TestEventFailNilErrorPanics(t *testing.T) {
-	env := NewEnvironment()
-	ev := env.NewEvent()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for Fail(nil)")
-		}
-	}()
-	ev.Fail(nil)
-}
-
-func TestEventFailPropagates(t *testing.T) {
-	env := NewEnvironment()
-	ev := env.NewEvent()
-	boom := errors.New("boom")
-	ev.Fail(boom)
-	_, err := env.RunUntilEvent(ev)
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want boom", err)
-	}
-}
-
-func TestEventStates(t *testing.T) {
-	env := NewEnvironment()
-	ev := env.NewEvent()
-	if !ev.Pending() || ev.Triggered() || ev.Processed() {
-		t.Fatal("fresh event should be pending only")
-	}
-	ev.Succeed(1)
-	if ev.Pending() || !ev.Triggered() || ev.Processed() {
-		t.Fatal("succeeded event should be triggered, not processed")
-	}
-	env.Run()
-	if !ev.Processed() {
-		t.Fatal("event should be processed after Run")
-	}
-	if ev.State().String() != "processed" {
-		t.Fatalf("State().String() = %q", ev.State().String())
-	}
-}
-
-func TestOnProcessedAfterProcessedRunsImmediately(t *testing.T) {
-	env := NewEnvironment()
-	ev := env.Timeout(1, nil)
-	env.Run()
-	ran := false
-	ev.OnProcessed(func(*Event) { ran = true })
-	if !ran {
-		t.Fatal("callback on already-processed event should run immediately")
-	}
-}
-
-// Property: for any set of non-negative delays, Run processes all events in
+// Property: for any set of non-negative delays, Run fires all timers in
 // nondecreasing time order and finishes at the max delay.
 func TestPropertyTimeOrdering(t *testing.T) {
 	f := func(raw []uint16) bool {
@@ -224,8 +148,8 @@ func TestPropertyTimeOrdering(t *testing.T) {
 			if d > maxDelay {
 				maxDelay = d
 			}
-			env.Timeout(d, nil).OnProcessed(func(e *Event) {
-				seen = append(seen, e.Env().Now())
+			env.AfterFunc(d, func() {
+				seen = append(seen, env.Now())
 			})
 		}
 		end := env.Run()
@@ -251,8 +175,8 @@ func TestPropertyRunUntilBoundary(t *testing.T) {
 		late := 0
 		for _, r := range raw {
 			d := float64(r)
-			env.Timeout(d, nil).OnProcessed(func(e *Event) {
-				if e.Env().Now() > T {
+			env.AfterFunc(d, func() {
+				if env.Now() > T {
 					late++
 				}
 			})

@@ -8,14 +8,16 @@ import (
 
 // Regression for the event-heap leak: pop used to shrink the slice
 // without zeroing the vacated tail slot, so the backing array kept a
-// live pointer to every processed *Event (and its callbacks/payloads)
-// until the heap next grew past that index — unbounded retained memory
-// in a long-running broker hovering at a steady queue length. Inspect
-// the backing array directly: every slot beyond len must be zero.
+// live pointer to every fired callback (and whatever its closure
+// captured) until the heap next grew past that index — unbounded
+// retained memory in a long-running broker hovering at a steady queue
+// length. Inspect the backing array directly: every slot beyond len
+// must be zero.
 func TestEventHeapPopZeroesVacatedSlot(t *testing.T) {
 	env := NewEnvironment()
 	for i := 0; i < 32; i++ {
-		env.Timeout(float64(i), i)
+		payload := make([]byte, 64)
+		env.AfterFunc(float64(i), func() { payload[0]++ })
 	}
 	high := cap(env.queue)
 	env.Run()
@@ -27,8 +29,8 @@ func TestEventHeapPopZeroesVacatedSlot(t *testing.T) {
 		t.Fatalf("backing array shrank: %d < %d", cap(env.queue), high)
 	}
 	for i, slot := range backing {
-		if slot.ev != nil || slot.fn != nil {
-			t.Fatalf("slot %d still pins a processed event: %+v", i, slot)
+		if slot.fn != nil {
+			t.Fatalf("slot %d still pins a fired callback", i)
 		}
 		if slot.time != 0 || slot.seq != 0 {
 			t.Fatalf("slot %d not zeroed: %+v", i, slot)
@@ -85,7 +87,7 @@ func TestStepWithinDistinguishesIdleFromEmpty(t *testing.T) {
 	if err := env.StepWithin(100); !errors.Is(err, ErrEmptySchedule) {
 		t.Fatalf("empty queue: %v, want ErrEmptySchedule", err)
 	}
-	env.Timeout(50, nil)
+	env.AfterFunc(50, func() {})
 	if err := env.StepWithin(49); !errors.Is(err, ErrIdle) {
 		t.Fatalf("event beyond horizon: %v, want ErrIdle", err)
 	}
@@ -131,16 +133,24 @@ func TestAdvanceToProcessesDueEventsAndPinsClock(t *testing.T) {
 	env.AdvanceTo(10)
 }
 
+// A zero-delay timer scheduled from a callback fires after every timer
+// already due at that instant, and same-time timers fire in scheduling
+// order (seq ties). The Broker relies on both to join a job's
+// partitions behind same-time arrivals and recalibrations.
 func TestAfterFuncOrdersWithEvents(t *testing.T) {
 	env := NewEnvironment()
 	var order []string
-	env.AfterFunc(10, func() { order = append(order, "fn@10") })
-	ev := env.Timeout(10, nil)
-	ev.OnProcessed(func(*Event) { order = append(order, "ev@10") })
-	env.AfterFunc(5, func() { order = append(order, "fn@5") })
+	env.AfterFunc(10, func() {
+		order = append(order, "a@10")
+		env.AfterFunc(0, func() { order = append(order, "a+0@10") })
+	})
+	env.AfterFunc(10, func() { order = append(order, "b@10") })
+	env.AfterFunc(5, func() { order = append(order, "c@5") })
 	env.Run()
-	// Same-time entries fire in scheduling order (seq ties).
-	want := []string{"fn@5", "fn@10", "ev@10"}
+	want := []string{"c@5", "a@10", "b@10", "a+0@10"}
+	if len(order) != len(want) {
+		t.Fatalf("order = %v, want %v", order, want)
+	}
 	for i := range want {
 		if order[i] != want[i] {
 			t.Fatalf("order = %v, want %v", order, want)
@@ -167,17 +177,15 @@ func TestAfterFuncValidation(t *testing.T) {
 }
 
 // A serve session starting from a checkpointed clock schedules relative
-// to the nonzero origin, and draining it leaves no live processes.
+// to the nonzero origin, and draining it leaves nothing queued.
 func TestNonzeroStartServeSessionDrainsClean(t *testing.T) {
 	env := NewEnvironmentAt(5000)
 	done := 0
-	env.Process(func(p *Proc) any {
-		p.Sleep(10)
-		done++
-		return nil
+	env.AfterFunc(0, func() {
+		env.AfterFunc(10, func() { done++ })
 	})
 	env.AfterFunc(25, func() { done++ })
-	// The process-start event is scheduled at the nonzero origin itself.
+	// The zero-delay start is scheduled at the nonzero origin itself.
 	if got := env.Peek(); got != 5000 {
 		t.Fatalf("first event at %g, want 5000", got)
 	}
@@ -187,7 +195,7 @@ func TestNonzeroStartServeSessionDrainsClean(t *testing.T) {
 	if done != 2 {
 		t.Fatalf("done = %d", done)
 	}
-	if env.ActiveProcs() != 0 {
-		t.Fatalf("ActiveProcs = %d after drain", env.ActiveProcs())
+	if env.QueueLen() != 0 {
+		t.Fatalf("QueueLen = %d after drain", env.QueueLen())
 	}
 }
