@@ -80,7 +80,7 @@ func BenchmarkSequentialRunAll(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cs.RunAll(); err != nil {
+		if _, _, err := cs.RunAllParallel(context.Background(), experiments.ExecOptions{Workers: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -102,7 +102,7 @@ func BenchmarkParallelRunAll(b *testing.B) {
 	baseN := min(b.N, 3)
 	seqStart := time.Now()
 	for i := 0; i < baseN; i++ {
-		if _, err := cs.RunAll(); err != nil {
+		if _, _, err := cs.RunAllParallel(context.Background(), experiments.ExecOptions{Workers: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -111,7 +111,7 @@ func BenchmarkParallelRunAll(b *testing.B) {
 	b.ResetTimer()
 	parStart := time.Now()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := cs.RunAllParallel(ctx, experiments.ParallelOptions{}); err != nil {
+		if _, _, err := cs.RunAllParallel(ctx, experiments.ExecOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -131,7 +131,7 @@ func BenchmarkParallelReplicated(b *testing.B) {
 	baseN := min(b.N, 3)
 	seqStart := time.Now()
 	for i := 0; i < baseN; i++ {
-		if _, err := cs.RunReplicated("speed", seeds); err != nil {
+		if _, _, err := cs.RunReplicatedParallel(context.Background(), experiments.ExecOptions{Workers: 1}, "speed", seeds); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -139,7 +139,7 @@ func BenchmarkParallelReplicated(b *testing.B) {
 	b.ResetTimer()
 	parStart := time.Now()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := cs.RunReplicatedParallel(ctx, experiments.ParallelOptions{}, "speed", seeds); err != nil {
+		if _, _, err := cs.RunReplicatedParallel(ctx, experiments.ExecOptions{}, "speed", seeds); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -173,7 +173,7 @@ func BenchmarkFig5Training(b *testing.B) {
 func BenchmarkFig6Histograms(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cs := benchCase()
-		runs, err := cs.RunAll()
+		runs, _, err := cs.RunAllParallel(context.Background(), experiments.ExecOptions{Workers: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -214,7 +214,7 @@ func BenchmarkAblationPhiSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cs := benchCase()
 		cs.Workload.N = 60
-		points, err := cs.PhiSweep("speed", []float64{0.85, 0.90, 0.95, 1.0})
+		points, _, err := cs.PhiSweepParallel(context.Background(), experiments.ExecOptions{Workers: 1}, "speed", []float64{0.85, 0.90, 0.95, 1.0})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -232,7 +232,7 @@ func BenchmarkAblationLambdaSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cs := benchCase()
 		cs.Workload.N = 60
-		points, err := cs.LambdaSweep("fair", []float64{0.0, 0.02, 0.05, 0.1})
+		points, _, err := cs.LambdaSweepParallel(context.Background(), experiments.ExecOptions{Workers: 1}, "fair", []float64{0.0, 0.02, 0.05, 0.1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -295,7 +295,7 @@ func BenchmarkAblationRLDeployment(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cs := benchCase()
 		cs.Workload.N = 60
-		sampled, det, err := cs.RLDeploymentAblation()
+		sampled, det, _, err := cs.RLDeploymentAblationParallel(context.Background(), experiments.ExecOptions{Workers: 1})
 		if err != nil {
 			b.Fatal(err)
 		}

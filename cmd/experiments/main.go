@@ -135,7 +135,6 @@ func run() error {
 		doctor    = flag.Bool("doctor", false, "probe each -hosts daemon and report reachability, protocol version and capacity; exit 1 when any host is unhealthy")
 		waitFor   = flag.Duration("wait", 0, "with -doctor: keep re-probing unhealthy hosts with backoff until all are healthy or this budget expires (e.g. 60s); replaces shell sleep-loops around daemon startup")
 	)
-	flag.IntVar(workers, "parallel", 0, "deprecated alias for -workers")
 	flag.Parse()
 
 	set := map[string]bool{}
@@ -249,14 +248,14 @@ func validateFlags(set map[string]bool, args []string, artifact, specPath string
 			return fmt.Errorf("-serve address %q is not host:port: %v", serveAddr, err)
 		}
 		for f := range set {
-			if f != "serve" && f != "workers" && f != "parallel" {
+			if f != "serve" && f != "workers" {
 				return fmt.Errorf("-serve runs a worker daemon; beyond -workers (advertised capacity), -%s conflicts with it", f)
 			}
 		}
 		if len(args) > 0 {
 			return fmt.Errorf("-serve takes the listen address as its value and no positional arguments")
 		}
-		if (set["workers"] || set["parallel"]) && workers < 1 {
+		if set["workers"] && workers < 1 {
 			return fmt.Errorf("-workers must be >= 1 (omit the flag for the automatic default)")
 		}
 		return nil
@@ -314,7 +313,7 @@ func validateFlags(set map[string]bool, args []string, artifact, specPath string
 	case len(args) > 0:
 		return fmt.Errorf("unexpected arguments %q (all inputs are flags; -diff takes the only positional arguments)", args)
 	}
-	if (set["workers"] || set["parallel"]) && workers < 1 {
+	if set["workers"] && workers < 1 {
 		return fmt.Errorf("-workers must be >= 1 (omit the flag for the automatic default)")
 	}
 	if set["shards"] && shards < 1 {

@@ -155,7 +155,6 @@ func TestValidateFlags(t *testing.T) {
 		{"diff with flags", ok(args{set: map[string]bool{"diff": true, "n": true}, args: []string{"a.json", "b.json"}, diff: true}), "no other flags"},
 		{"stray args", ok(args{args: []string{"table2"}}), "unexpected arguments"},
 		{"workers zero", ok(args{set: map[string]bool{"workers": true}}), "-workers must be >= 1"},
-		{"parallel alias zero", ok(args{set: map[string]bool{"parallel": true}}), "-workers must be >= 1"},
 		{"workers set valid", ok(args{set: map[string]bool{"workers": true}, workers: 4}), ""},
 		{"shards zero", ok(args{set: map[string]bool{"shards": true}}), "-shards must be >= 1"},
 		{"shards valid", ok(args{set: map[string]bool{"shards": true}, shards: 2, artifact: "table2"}), ""},

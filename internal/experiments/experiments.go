@@ -246,20 +246,10 @@ func (cs *CaseStudy) RunMode(mode string) (*ModeRun, error) {
 	}, nil
 }
 
-// RunAll runs every strategy and returns runs keyed by mode name. It is
-// a sequential (single-worker) wrapper over RunAllParallel, so both
-// paths share one execution engine and produce identical results.
-//
-// Deprecated: prefer Run with a {Kind: "modes"} matrix; RunAll remains
-// for callers that need the full ModeRun state (Figure 6).
-func (cs *CaseStudy) RunAll() (map[string]*ModeRun, error) {
-	runs, _, err := cs.RunAllParallel(context.Background(), ParallelOptions{Workers: 1})
-	return runs, err
-}
-
-// Table2 runs all four strategies and returns rows in the paper's order.
+// Table2 runs all four strategies on one worker and returns rows in the
+// paper's order.
 func (cs *CaseStudy) Table2() ([]core.Results, error) {
-	runs, err := cs.RunAll()
+	runs, _, err := cs.RunAllParallel(context.Background(), ExecOptions{Workers: 1})
 	if err != nil {
 		return nil, err
 	}
@@ -317,27 +307,6 @@ type SweepPoint struct {
 	Results core.Results
 }
 
-// PhiSweep re-runs the given mode across communication-penalty values,
-// quantifying how the paper's fixed φ=0.95 drives the fidelity gap
-// between low-k and high-k strategies. It is a sequential wrapper over
-// PhiSweepParallel.
-//
-// Deprecated: prefer Run with a {Kind: "phi-sweep"} matrix.
-func (cs *CaseStudy) PhiSweep(mode string, phis []float64) ([]SweepPoint, error) {
-	points, _, err := cs.PhiSweepParallel(context.Background(), ParallelOptions{Workers: 1}, mode, phis)
-	return points, err
-}
-
-// LambdaSweep re-runs the given mode across per-qubit communication
-// latencies, the Eq. 9 parameter. It is a sequential wrapper over
-// LambdaSweepParallel.
-//
-// Deprecated: prefer Run with a {Kind: "lambda-sweep"} matrix.
-func (cs *CaseStudy) LambdaSweep(mode string, lambdas []float64) ([]SweepPoint, error) {
-	points, _, err := cs.LambdaSweepParallel(context.Background(), ParallelOptions{Workers: 1}, mode, lambdas)
-	return points, err
-}
-
 // ReplicatedStat summarizes one metric across workload seeds. Std is
 // the sample (n−1) standard deviation — replications are a sample, not
 // the population — and CI95 is the Student-t 95% confidence half-width
@@ -360,27 +329,4 @@ type ReplicatedResults struct {
 	Mode                         string
 	Seeds                        []int64
 	TsimStat, MuFStat, TcommStat ReplicatedStat
-}
-
-// RunReplicated runs the named mode once per workload seed and
-// aggregates the headline metrics. The fleet (calibration) is held fixed
-// so the variation isolates workload randomness. It is a sequential
-// wrapper over RunReplicatedParallel.
-//
-// Deprecated: prefer Run with a {Kind: "replicate"} matrix and
-// stats.AggregateSamples over the manifest rows.
-func (cs *CaseStudy) RunReplicated(mode string, seeds []int64) (*ReplicatedResults, error) {
-	rep, _, err := cs.RunReplicatedParallel(context.Background(), ParallelOptions{Workers: 1}, mode, seeds)
-	return rep, err
-}
-
-// RLDeploymentAblation compares sampled versus deterministic deployment
-// of the trained policy — isolating how much of the RL mode's fidelity
-// loss comes from retained exploration noise. It is a sequential
-// wrapper over RLDeploymentAblationParallel.
-//
-// Deprecated: prefer Run with a {Kind: "rl-deploy"} matrix.
-func (cs *CaseStudy) RLDeploymentAblation() (sampled, deterministic *ModeRun, err error) {
-	sampled, deterministic, _, err = cs.RLDeploymentAblationParallel(context.Background(), ParallelOptions{Workers: 1})
-	return sampled, deterministic, err
 }

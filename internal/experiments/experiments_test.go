@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/policy"
@@ -175,7 +176,7 @@ func TestFig5SeriesShape(t *testing.T) {
 
 func TestFig6HistogramsCoverAllModes(t *testing.T) {
 	cs := smallCase()
-	runs, err := cs.RunAll()
+	runs, _, err := cs.RunAllParallel(context.Background(), ExecOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +215,7 @@ func TestFig6EmptyRunsSafeRange(t *testing.T) {
 func TestPhiSweepMonotoneForMultiDeviceJobs(t *testing.T) {
 	cs := smallCase()
 	cs.Workload.N = 25
-	points, err := cs.PhiSweep("speed", []float64{0.85, 0.95, 1.0})
+	points, _, err := cs.PhiSweepParallel(context.Background(), ExecOptions{Workers: 1}, "speed", []float64{0.85, 0.95, 1.0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +238,7 @@ func TestPhiSweepMonotoneForMultiDeviceJobs(t *testing.T) {
 func TestLambdaSweepScalesCommTime(t *testing.T) {
 	cs := smallCase()
 	cs.Workload.N = 25
-	points, err := cs.LambdaSweep("fair", []float64{0.0, 0.02, 0.04})
+	points, _, err := cs.LambdaSweepParallel(context.Background(), ExecOptions{Workers: 1}, "fair", []float64{0.0, 0.02, 0.04})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,10 +252,10 @@ func TestLambdaSweepScalesCommTime(t *testing.T) {
 
 func TestSweepValidation(t *testing.T) {
 	cs := smallCase()
-	if _, err := cs.PhiSweep("speed", nil); err == nil {
+	if _, _, err := cs.PhiSweepParallel(context.Background(), ExecOptions{Workers: 1}, "speed", nil); err == nil {
 		t.Fatal("empty sweep accepted")
 	}
-	if _, err := cs.PhiSweep("bogus", []float64{0.9}); err == nil {
+	if _, _, err := cs.PhiSweepParallel(context.Background(), ExecOptions{Workers: 1}, "bogus", []float64{0.9}); err == nil {
 		t.Fatal("unknown mode accepted")
 	}
 }
@@ -262,7 +263,7 @@ func TestSweepValidation(t *testing.T) {
 func TestRLDeploymentAblation(t *testing.T) {
 	cs := smallCase()
 	cs.Workload.N = 30
-	sampled, det, err := cs.RLDeploymentAblation()
+	sampled, det, _, err := cs.RLDeploymentAblationParallel(context.Background(), ExecOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +279,7 @@ func TestRLDeploymentAblation(t *testing.T) {
 func TestRunReplicatedAggregates(t *testing.T) {
 	cs := smallCase()
 	cs.Workload.N = 30
-	rep, err := cs.RunReplicated("speed", []int64{1, 2, 3})
+	rep, _, err := cs.RunReplicatedParallel(context.Background(), ExecOptions{Workers: 1}, "speed", []int64{1, 2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,10 +307,10 @@ func TestRunReplicatedAggregates(t *testing.T) {
 
 func TestRunReplicatedValidation(t *testing.T) {
 	cs := smallCase()
-	if _, err := cs.RunReplicated("speed", nil); err == nil {
+	if _, _, err := cs.RunReplicatedParallel(context.Background(), ExecOptions{Workers: 1}, "speed", nil); err == nil {
 		t.Fatal("empty seeds accepted")
 	}
-	if _, err := cs.RunReplicated("bogus", []int64{1}); err == nil {
+	if _, _, err := cs.RunReplicatedParallel(context.Background(), ExecOptions{Workers: 1}, "bogus", []int64{1}); err == nil {
 		t.Fatal("unknown mode accepted")
 	}
 }

@@ -195,7 +195,7 @@ func (m TaskMatrix) TaskLabels() ([]string, error) {
 
 // runMatrix expands and executes a matrix through the in-process worker
 // pool, training the rlbase policy up front when any task needs it.
-func (cs *CaseStudy) runMatrix(ctx context.Context, opt ParallelOptions, m TaskMatrix, keepRun bool) ([]RunArtifact, error) {
+func (cs *CaseStudy) runMatrix(ctx context.Context, opt ExecOptions, m TaskMatrix, keepRun bool) ([]RunArtifact, error) {
 	specs, err := m.specs(keepRun)
 	if err != nil {
 		return nil, err

@@ -31,11 +31,6 @@ type ExecOptions struct {
 	OnProgress func(runner.Progress)
 }
 
-// ParallelOptions is the pre-registry name of ExecOptions.
-//
-// Deprecated: use ExecOptions (or the Parallel executor with Run).
-type ParallelOptions = ExecOptions
-
 // RunArtifact is one completed simulation task: the exact configuration
 // that produced it, the headline results, and the full run for deeper
 // analysis. Artifacts are what the runner aggregates into a manifest.
@@ -194,7 +189,7 @@ func (cs *CaseStudy) task(spec runSpec) runner.Task[RunArtifact] {
 }
 
 // runSpecs executes specs through the worker pool.
-func (cs *CaseStudy) runSpecs(ctx context.Context, opt ParallelOptions, specs []runSpec) ([]RunArtifact, error) {
+func (cs *CaseStudy) runSpecs(ctx context.Context, opt ExecOptions, specs []runSpec) ([]RunArtifact, error) {
 	tasks := make([]runner.Task[RunArtifact], len(specs))
 	for i, spec := range specs {
 		tasks[i] = cs.task(spec)
@@ -207,7 +202,7 @@ func (cs *CaseStudy) runSpecs(ctx context.Context, opt ParallelOptions, specs []
 // worker pool. Results are bit-identical to the sequential path: every
 // task runs on a private snapshot seeded only from the case study's
 // configured seeds. The rlbase policy is trained (once) before fan-out.
-func (cs *CaseStudy) RunAllParallel(ctx context.Context, opt ParallelOptions) (map[string]*ModeRun, []RunArtifact, error) {
+func (cs *CaseStudy) RunAllParallel(ctx context.Context, opt ExecOptions) (map[string]*ModeRun, []RunArtifact, error) {
 	arts, err := cs.runMatrix(ctx, opt, TaskMatrix{Kind: "modes"}, true)
 	if err != nil {
 		return nil, nil, err
@@ -220,16 +215,16 @@ func (cs *CaseStudy) RunAllParallel(ctx context.Context, opt ParallelOptions) (m
 }
 
 // PhiSweepParallel is the parallel form of PhiSweep.
-func (cs *CaseStudy) PhiSweepParallel(ctx context.Context, opt ParallelOptions, mode string, phis []float64) ([]SweepPoint, []RunArtifact, error) {
+func (cs *CaseStudy) PhiSweepParallel(ctx context.Context, opt ExecOptions, mode string, phis []float64) ([]SweepPoint, []RunArtifact, error) {
 	return cs.sweepParallel(ctx, opt, TaskMatrix{Kind: "phi-sweep", Mode: mode, Values: phis})
 }
 
 // LambdaSweepParallel is the parallel form of LambdaSweep.
-func (cs *CaseStudy) LambdaSweepParallel(ctx context.Context, opt ParallelOptions, mode string, lambdas []float64) ([]SweepPoint, []RunArtifact, error) {
+func (cs *CaseStudy) LambdaSweepParallel(ctx context.Context, opt ExecOptions, mode string, lambdas []float64) ([]SweepPoint, []RunArtifact, error) {
 	return cs.sweepParallel(ctx, opt, TaskMatrix{Kind: "lambda-sweep", Mode: mode, Values: lambdas})
 }
 
-func (cs *CaseStudy) sweepParallel(ctx context.Context, opt ParallelOptions, m TaskMatrix) ([]SweepPoint, []RunArtifact, error) {
+func (cs *CaseStudy) sweepParallel(ctx context.Context, opt ExecOptions, m TaskMatrix) ([]SweepPoint, []RunArtifact, error) {
 	arts, err := cs.runMatrix(ctx, opt, m, false)
 	if err != nil {
 		return nil, nil, err
@@ -245,7 +240,7 @@ func (cs *CaseStudy) sweepParallel(ctx context.Context, opt ParallelOptions, m T
 // RLDeploymentAblationParallel runs the sampled and deterministic
 // rlbase deployments as two pool tasks and returns both runs plus
 // their artifacts.
-func (cs *CaseStudy) RLDeploymentAblationParallel(ctx context.Context, opt ParallelOptions) (sampled, deterministic *ModeRun, arts []RunArtifact, err error) {
+func (cs *CaseStudy) RLDeploymentAblationParallel(ctx context.Context, opt ExecOptions) (sampled, deterministic *ModeRun, arts []RunArtifact, err error) {
 	arts, err = cs.runMatrix(ctx, opt, TaskMatrix{Kind: "rl-deploy"}, true)
 	if err != nil {
 		return nil, nil, nil, err
@@ -256,7 +251,7 @@ func (cs *CaseStudy) RLDeploymentAblationParallel(ctx context.Context, opt Paral
 // RunReplicatedParallel is the parallel form of RunReplicated: one task
 // per workload seed, aggregated into mean/std/min/max and a 95%
 // confidence interval per headline metric.
-func (cs *CaseStudy) RunReplicatedParallel(ctx context.Context, opt ParallelOptions, mode string, seeds []int64) (*ReplicatedResults, []RunArtifact, error) {
+func (cs *CaseStudy) RunReplicatedParallel(ctx context.Context, opt ExecOptions, mode string, seeds []int64) (*ReplicatedResults, []RunArtifact, error) {
 	arts, err := cs.runMatrix(ctx, opt, TaskMatrix{Kind: "replicate", Mode: mode, Seeds: seeds}, false)
 	if err != nil {
 		return nil, nil, err

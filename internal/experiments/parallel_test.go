@@ -15,12 +15,12 @@ import (
 // results to the sequential path, per-job fidelities included.
 func TestParallelRunAllMatchesSequential(t *testing.T) {
 	seqCS := smallCase()
-	seq, err := seqCS.RunAll()
+	seq, _, err := seqCS.RunAllParallel(context.Background(), ExecOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	parCS := smallCase()
-	par, arts, err := parCS.RunAllParallel(context.Background(), ParallelOptions{Workers: 4})
+	par, arts, err := parCS.RunAllParallel(context.Background(), ExecOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,11 +43,11 @@ func TestParallelRunAllMatchesSequential(t *testing.T) {
 
 func TestParallelSweepMatchesSequential(t *testing.T) {
 	phis := []float64{0.9, 0.95, 1.0}
-	seq, err := smallCase().PhiSweep("speed", phis)
+	seq, _, err := smallCase().PhiSweepParallel(context.Background(), ExecOptions{Workers: 1}, "speed", phis)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, arts, err := smallCase().PhiSweepParallel(context.Background(), ParallelOptions{Workers: 3}, "speed", phis)
+	par, arts, err := smallCase().PhiSweepParallel(context.Background(), ExecOptions{Workers: 3}, "speed", phis)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,13 +71,13 @@ func TestParallelReplicatedMatchesSequential(t *testing.T) {
 	seeds := []int64{1, 2, 3, 4}
 	cs := smallCase()
 	cs.Workload.N = 30
-	seq, err := cs.RunReplicated("fair", seeds)
+	seq, _, err := cs.RunReplicatedParallel(context.Background(), ExecOptions{Workers: 1}, "fair", seeds)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cs2 := smallCase()
 	cs2.Workload.N = 30
-	par, arts, err := cs2.RunReplicatedParallel(context.Background(), ParallelOptions{Workers: 4}, "fair", seeds)
+	par, arts, err := cs2.RunReplicatedParallel(context.Background(), ExecOptions{Workers: 4}, "fair", seeds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,10 +105,10 @@ func TestParallelDoesNotMutateCaseStudy(t *testing.T) {
 	cs.Workload.N = 30
 	savedCore := cs.Core
 	savedWorkload := cs.Workload
-	if _, _, err := cs.PhiSweepParallel(context.Background(), ParallelOptions{Workers: 2}, "speed", []float64{0.9, 0.95}); err != nil {
+	if _, _, err := cs.PhiSweepParallel(context.Background(), ExecOptions{Workers: 2}, "speed", []float64{0.9, 0.95}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := cs.RunReplicatedParallel(context.Background(), ParallelOptions{Workers: 2}, "speed", []int64{5, 6}); err != nil {
+	if _, _, err := cs.RunReplicatedParallel(context.Background(), ExecOptions{Workers: 2}, "speed", []int64{5, 6}); err != nil {
 		t.Fatal(err)
 	}
 	if cs.Core != savedCore || cs.Workload != savedWorkload {
@@ -126,7 +126,7 @@ func TestParallelErrorPropagates(t *testing.T) {
 	// fails fast inside workload validation.
 	cs.Workload.MinQubits = 10000
 	cs.Workload.MaxQubits = 10001
-	_, _, err := cs.RunAllParallel(context.Background(), ParallelOptions{Workers: 4})
+	_, _, err := cs.RunAllParallel(context.Background(), ExecOptions{Workers: 4})
 	if err == nil {
 		t.Fatal("impossible workload accepted")
 	}
@@ -137,7 +137,7 @@ func TestParallelProgressAndArtifacts(t *testing.T) {
 	var events []runner.Progress
 	cs := smallCase()
 	cs.Workload.N = 30
-	opt := ParallelOptions{
+	opt := ExecOptions{
 		Workers: 2,
 		OnProgress: func(p runner.Progress) {
 			mu.Lock()

@@ -159,7 +159,7 @@ func TestRemoteDaemonKillRequeuesToSurvivor(t *testing.T) {
 
 	cs2 := smallCase()
 	cs2.Workload.N = 30
-	_, arts, err := cs2.RunReplicatedParallel(context.Background(), ParallelOptions{Workers: 2}, "speed", seeds)
+	_, arts, err := cs2.RunReplicatedParallel(context.Background(), ExecOptions{Workers: 2}, "speed", seeds)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -178,7 +178,7 @@ func TestReplicatedSpecExecutorEquivalence(t *testing.T) {
 func TestReplicateCarriesStdErr(t *testing.T) {
 	cs := smallCase()
 	cs.Workload.N = 30
-	rep, arts, err := cs.RunReplicatedParallel(context.Background(), ParallelOptions{Workers: 2}, "speed", []int64{1, 2, 3})
+	rep, arts, err := cs.RunReplicatedParallel(context.Background(), ExecOptions{Workers: 2}, "speed", []int64{1, 2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}

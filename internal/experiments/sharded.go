@@ -312,23 +312,3 @@ func coordinatorProgress(opt ExecOptions, onEvent func(shard.Progress)) func(sha
 		}
 	}
 }
-
-// RunAllSharded is RunAllParallel across worker processes: the four
-// strategies of Table 2 partitioned over OS-process shards, returned as
-// one merged manifest.
-//
-// Deprecated: prefer Run with a {Kind: "modes"} matrix on the Sharded
-// executor.
-func (cs *CaseStudy) RunAllSharded(ctx context.Context, opt ShardOptions) (*records.RunManifest, error) {
-	return cs.RunMatrixSharded(ctx, opt, TaskMatrix{Kind: "modes"})
-}
-
-// RunReplicatedSharded is RunReplicatedParallel across worker
-// processes: one task per workload seed for the named mode. Aggregate
-// statistics over the manifest rows with stats.AggregateSamples.
-//
-// Deprecated: prefer Run with a {Kind: "replicate"} matrix on the
-// Sharded executor.
-func (cs *CaseStudy) RunReplicatedSharded(ctx context.Context, opt ShardOptions, mode string, seeds []int64) (*records.RunManifest, error) {
-	return cs.RunMatrixSharded(ctx, opt, TaskMatrix{Kind: "replicate", Mode: mode, Seeds: seeds})
-}

@@ -105,12 +105,12 @@ func TestShardedReplicateMatchesInProcess(t *testing.T) {
 		cs.Workload.N = 30
 		return cs
 	}
-	_, seqArts, err := mk().RunReplicatedParallel(context.Background(), ParallelOptions{Workers: 1}, "speed", seeds)
+	_, seqArts, err := mk().RunReplicatedParallel(context.Background(), ExecOptions{Workers: 1}, "speed", seeds)
 	if err != nil {
 		t.Fatal(err)
 	}
 	seq := normalizedJSON(t, manifestFromArts("replicate/speed", seqArts))
-	_, parArts, err := mk().RunReplicatedParallel(context.Background(), ParallelOptions{Workers: 4}, "speed", seeds)
+	_, parArts, err := mk().RunReplicatedParallel(context.Background(), ExecOptions{Workers: 4}, "speed", seeds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestShardedReplicateMatchesInProcess(t *testing.T) {
 		t.Fatalf("parallel manifest diverges from sequential:\n%s\n%s", seq, par)
 	}
 	for _, shards := range []int{1, 2, 4} {
-		m, err := mk().RunReplicatedSharded(context.Background(), ShardOptions{Shards: shards, Command: selfWorker(t)}, "speed", seeds)
+		m, err := mk().RunMatrixSharded(context.Background(), ShardOptions{Shards: shards, Command: selfWorker(t)}, TaskMatrix{Kind: "replicate", Mode: "speed", Seeds: seeds})
 		if err != nil {
 			t.Fatalf("%d shards: %v", shards, err)
 		}
@@ -138,12 +138,12 @@ func TestShardedRunAllMatchesInProcess(t *testing.T) {
 		cs.Workload.N = 30
 		return cs
 	}
-	_, seqArts, err := mk().RunAllParallel(context.Background(), ParallelOptions{Workers: 1})
+	_, seqArts, err := mk().RunAllParallel(context.Background(), ExecOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	seq := normalizedJSON(t, manifestFromArts("modes", seqArts))
-	_, parArts, err := mk().RunAllParallel(context.Background(), ParallelOptions{Workers: 4})
+	_, parArts, err := mk().RunAllParallel(context.Background(), ExecOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestShardedRunAllMatchesInProcess(t *testing.T) {
 		t.Fatalf("parallel manifest diverges from sequential:\n%s\n%s", seq, par)
 	}
 	for _, shards := range []int{1, 2, 4} {
-		m, err := mk().RunAllSharded(context.Background(), ShardOptions{Shards: shards, Command: selfWorker(t)})
+		m, err := mk().RunMatrixSharded(context.Background(), ShardOptions{Shards: shards, Command: selfWorker(t)}, TaskMatrix{Kind: "modes"})
 		if err != nil {
 			t.Fatalf("%d shards: %v", shards, err)
 		}
@@ -170,7 +170,7 @@ func TestShardedSweepMatchesInProcess(t *testing.T) {
 	phis := []float64{0.9, 0.95, 1.0}
 	cs := smallCase()
 	cs.Workload.N = 30
-	_, arts, err := cs.PhiSweepParallel(context.Background(), ParallelOptions{Workers: 3}, "speed", phis)
+	_, arts, err := cs.PhiSweepParallel(context.Background(), ExecOptions{Workers: 3}, "speed", phis)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestShardedWorkerCrashIsRetried(t *testing.T) {
 			mu.Unlock()
 		},
 	}
-	m, err := cs.RunReplicatedSharded(context.Background(), opt, "speed", seeds)
+	m, err := cs.RunMatrixSharded(context.Background(), opt, TaskMatrix{Kind: "replicate", Mode: "speed", Seeds: seeds})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestShardedWorkerCrashIsRetried(t *testing.T) {
 	// run: fault recovery may not change results.
 	cs2 := smallCase()
 	cs2.Workload.N = 30
-	_, arts, err := cs2.RunReplicatedParallel(context.Background(), ParallelOptions{Workers: 2}, "speed", seeds)
+	_, arts, err := cs2.RunReplicatedParallel(context.Background(), ExecOptions{Workers: 2}, "speed", seeds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +253,7 @@ func TestShardedWorkerCrashExhaustsRetries(t *testing.T) {
 		Shards:      2,
 		Command:     selfWorker(t, "EXPERIMENTS_SHARD_CRASH_ALWAYS=1"),
 	}
-	_, err := cs.RunReplicatedSharded(context.Background(), opt, "speed", []int64{1, 2, 3, 4, 5, 6})
+	_, err := cs.RunMatrixSharded(context.Background(), opt, TaskMatrix{Kind: "replicate", Mode: "speed", Seeds: []int64{1, 2, 3, 4, 5, 6}})
 	if err == nil {
 		t.Fatal("run with permanently crashing workers succeeded")
 	}
@@ -272,27 +272,27 @@ func TestShardedRejectsBadMatrix(t *testing.T) {
 		spawned = true
 		return exec.CommandContext(ctx, os.Args[0])
 	}}
-	if _, err := cs.RunReplicatedSharded(context.Background(), opt, "warp", []int64{1}); err == nil {
+	if _, err := cs.RunMatrixSharded(context.Background(), opt, TaskMatrix{Kind: "replicate", Mode: "warp", Seeds: []int64{1}}); err == nil {
 		t.Fatal("unknown mode accepted")
 	}
-	if _, err := cs.RunReplicatedSharded(context.Background(), opt, "speed", nil); err == nil {
+	if _, err := cs.RunMatrixSharded(context.Background(), opt, TaskMatrix{Kind: "replicate", Mode: "speed"}); err == nil {
 		t.Fatal("empty seed list accepted")
 	}
 	// Duplicate seeds produce duplicate task IDs, which the merge would
 	// only reject after all the compute is spent — they must fail here.
-	if _, err := cs.RunReplicatedSharded(context.Background(), opt, "speed", []int64{1, 1}); err == nil || !strings.Contains(err.Error(), "twice") {
+	if _, err := cs.RunMatrixSharded(context.Background(), opt, TaskMatrix{Kind: "replicate", Mode: "speed", Seeds: []int64{1, 1}}); err == nil || !strings.Contains(err.Error(), "twice") {
 		t.Fatalf("duplicate seeds: err = %v, want pre-spawn rejection", err)
 	}
 	// An injected policy never reaches worker processes; rlbase matrices
 	// must be rejected rather than silently retrained.
 	injected := smallCase()
 	injected.UseTrainedPolicy(rl.NewGaussianPolicy(rand.New(rand.NewSource(1)), 4, 2, 8))
-	if _, err := injected.RunAllSharded(context.Background(), opt); err == nil || !strings.Contains(err.Error(), "UseTrainedPolicy") {
+	if _, err := injected.RunMatrixSharded(context.Background(), opt, TaskMatrix{Kind: "modes"}); err == nil || !strings.Contains(err.Error(), "UseTrainedPolicy") {
 		t.Fatalf("injected policy: err = %v, want rejection naming UseTrainedPolicy", err)
 	}
 	injected.Workload.N = 30
 	realOpt := ShardOptions{Shards: 2, Command: selfWorker(t)}
-	if _, err := injected.RunReplicatedSharded(context.Background(), realOpt, "speed", []int64{1, 2}); err != nil {
+	if _, err := injected.RunMatrixSharded(context.Background(), realOpt, TaskMatrix{Kind: "replicate", Mode: "speed", Seeds: []int64{1, 2}}); err != nil {
 		t.Fatalf("injected policy must not block rlbase-free matrices: %v", err)
 	}
 	if spawned {

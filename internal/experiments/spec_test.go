@@ -287,7 +287,7 @@ func specForSmallCase(matrices ...TaskMatrix) Spec {
 func TestRunSpecMatchesLegacyPaths(t *testing.T) {
 	legacy := smallCase()
 	legacy.Workload.N = 30
-	_, arts, err := legacy.RunAllParallel(context.Background(), ParallelOptions{Workers: 1})
+	_, arts, err := legacy.RunAllParallel(context.Background(), ExecOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,11 +331,11 @@ func TestRunMultiMatrixSpec(t *testing.T) {
 	}
 	legacy := smallCase()
 	legacy.Workload.N = 30
-	_, repArts, err := legacy.RunReplicatedParallel(context.Background(), ParallelOptions{Workers: 1}, "speed", seeds)
+	_, repArts, err := legacy.RunReplicatedParallel(context.Background(), ExecOptions{Workers: 1}, "speed", seeds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, phiArts, err := legacy.PhiSweepParallel(context.Background(), ParallelOptions{Workers: 1}, "fair", phis)
+	_, phiArts, err := legacy.PhiSweepParallel(context.Background(), ExecOptions{Workers: 1}, "fair", phis)
 	if err != nil {
 		t.Fatal(err)
 	}
