@@ -1,10 +1,13 @@
 // Package core is the quantum cloud simulation environment — the paper's
-// primary contribution (§3, §5). It orchestrates the end-to-end job flow:
-// a JobGenerator feeds QJobs to the Broker, which applies an allocation
-// policy (Algorithm 1) to partition each large circuit across QDevices,
-// runs the partitions in parallel on the event-driven kernel, simulates
-// blocking inter-device classical communication, computes final fidelity
-// with the Eq. 8 penalty, and logs everything to the JobRecordsManager.
+// primary contribution (§3, §5). One engine, the Broker, runs the
+// end-to-end job flow: it applies an allocation policy (Algorithm 1) to
+// partition each large circuit across QDevices, runs the partitions in
+// parallel on the event-driven kernel, simulates blocking inter-device
+// classical communication, computes final fidelity with the Eq. 8
+// penalty, and reports every lifecycle event to a StreamRecorder.
+// QCloudSimEnv is the batch driver: it feeds a job slice to a Broker at
+// the jobs' arrival times and logs everything to a records.Manager (the
+// paper's JobRecordsManager). Serve mode feeds a Broker from a stream.
 package core
 
 import (
@@ -36,8 +39,8 @@ type Config struct {
 	// skip-ahead). Off by default, matching the paper's FIFO queues.
 	Backfill bool
 	// Drift, when enabled, runs the workload on time-varying hardware:
-	// drivers that honor the config (experiments.RunMode) start the
-	// EnableCalibrationDrift process right after workload submission.
+	// drivers that honor the config (experiments.RunMode) call
+	// EnableCalibrationDrift right after workload submission.
 	// The zero value keeps the paper's static calibration.
 	Drift DriftConfig
 }

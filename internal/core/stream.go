@@ -36,10 +36,11 @@ type StreamRecorder interface {
 }
 
 // ManagerRecorder adapts a records.Manager to the StreamRecorder seam.
-// A broker recording through it produces per-job records byte-identical
-// to a batch QCloudSimEnv run over the same workload: ingest provenance
-// is recorded in dedicated columns that batch-vs-serve diffs exclude
-// explicitly, like host/attempt in run manifests.
+// A batch QCloudSimEnv records through it, so a serve-mode broker
+// recording through it produces per-job records byte-identical to a
+// batch run over the same workload: ingest provenance is recorded in
+// dedicated columns that batch-vs-serve diffs exclude explicitly, like
+// host/attempt in run manifests.
 type ManagerRecorder struct{ M *records.Manager }
 
 // Arrival implements StreamRecorder.
@@ -217,16 +218,16 @@ type pendingJob struct {
 	arrival float64
 }
 
-// Broker is the long-running service counterpart of QCloudSimEnv: jobs
-// are injected one at a time (Admit) as an external stream delivers
-// them, the discrete-event core advances in real or scaled time, and
-// completions feed rolling-window metrics. The job lifecycle is
-// callback-driven rather than goroutine-per-job, and every per-job
-// working set lives in a recycled run pool, so the steady-state
-// admit→schedule→complete cycle performs zero heap allocations (gated
-// by AllocsPerRun in tests and CI). Scheduling semantics — dispatch
-// order, FIFO/backfill, fidelity and timing arithmetic — replicate the
-// batch path exactly.
+// Broker is the scheduler: jobs are injected one at a time (Admit or
+// Offer), dispatched onto the fleet under the allocation policy, and run
+// to completion on the discrete-event core; completions feed
+// rolling-window metrics. It is the one engine behind every mode: a
+// batch QCloudSimEnv admits a job slice at the jobs' arrival times,
+// while serve mode admits a stream as it is delivered and advances the
+// core in real or scaled time. The job lifecycle is a chain of timer
+// callbacks, and every per-job working set lives in a recycled run
+// pool, so the steady-state admit→schedule→complete cycle performs zero
+// heap allocations (gated by AllocsPerRun in tests and CI).
 type Broker struct {
 	env     *sim.Environment
 	devices []*device.Device
@@ -271,7 +272,8 @@ type jobRun struct {
 // NewBroker assembles a streaming broker over the given fleet. The
 // recorder receives every lifecycle event; windowCap sizes the rolling
 // metrics windows (per tenant and global). Calibration drift is a
-// batch-run feature and is rejected here.
+// batch-run feature (QCloudSimEnv.EnableCalibrationDrift) and is
+// rejected here.
 func NewBroker(env *sim.Environment, fleet []*device.Device, pol policy.Policy, cfg Config, rec StreamRecorder, windowCap int) (*Broker, error) {
 	if cfg.Drift.Enabled() {
 		return nil, fmt.Errorf("core: broker mode does not support calibration drift")
@@ -461,8 +463,8 @@ func (b *Broker) Offer(j *job.QJob) Decision {
 	return d
 }
 
-// statesInto snapshots the fleet into the broker's reusable buffer —
-// the allocation-free twin of QCloud.States.
+// statesInto snapshots the fleet for a policy decision into the
+// broker's reusable buffer.
 //
 //repro:noalloc
 func (b *Broker) statesInto() []policy.DeviceState {
@@ -521,9 +523,11 @@ func (b *Broker) validate(j *job.QJob, states []policy.DeviceState, allocs []pol
 	}
 }
 
-// dispatch places pending jobs until no further placement is possible,
-// replicating QCloud.dispatch: FIFO head-only by default, skip-ahead in
-// backfill mode.
+// dispatch places pending jobs until no further placement is possible.
+// In FIFO mode (default) only the head job is considered, so a blocked
+// head blocks the queue — keeping ordering fair across all policies. In
+// backfill mode later jobs that fit may skip ahead of a blocked head.
+// dispatch runs on every admission and on every qubit release.
 //
 //repro:noalloc
 func (b *Broker) dispatch() {
@@ -576,8 +580,7 @@ func (b *Broker) getRun() *jobRun {
 // start reserves qubits and schedules the job's completion chain —
 // Algorithm 1 lines 6–14 in callback form. The parallel sub-jobs
 // complete at start + max τ_i; the chained communication timer then
-// reproduces the batch path's (start+maxProc)+comm float arithmetic
-// exactly, keeping finish times bit-identical.
+// finishes the job at (start+maxProc)+comm.
 //
 //repro:noalloc
 func (b *Broker) start(pj pendingJob, allocs []policy.Allocation) {
@@ -632,8 +635,7 @@ func (jr *jobRun) onJoined() {
 }
 
 // finish computes fidelity, releases the reservations, records the
-// completion, and re-dispatches — mirroring the tail of
-// QCloud.startJob.
+// completion, and re-dispatches.
 //
 //repro:noalloc
 func (jr *jobRun) finish() {
@@ -660,8 +662,8 @@ func (jr *jobRun) finish() {
 }
 
 // fidelity computes the job's final fidelity from per-partition
-// fidelities (Eqs. 4–8) using the run's scratch buffers — the
-// allocation-free twin of QCloud.jobFidelity.
+// fidelities (Eqs. 4–8) using the run's scratch buffers. Two-qubit gates
+// are attributed to partitions in proportion to their qubit share.
 //
 //repro:noalloc
 func (jr *jobRun) fidelity() float64 {
