@@ -317,3 +317,29 @@ func TestUnsubmittedRunIsEmpty(t *testing.T) {
 		t.Fatalf("empty run: %+v", r)
 	}
 }
+
+// Arrivals are reached the way a sleeping generator reaches them: the
+// clock moves to now + (arrival - now), which can round below the
+// arrival. The job slept for is admitted at that time all the same, and
+// a job sharing its arrival time sleeps the remaining sliver.
+func TestArrivalClockFollowsSleepArithmetic(t *testing.T) {
+	first, due := 343.6674288435955, 1023.9999999999999
+	reached := first + (due - first)
+	if reached >= due {
+		t.Fatalf("%v + (%v - %v) = %v does not round below the arrival", first, due, first, reached)
+	}
+	e := buildEnv(t, policy.Speed{})
+	mk := func(id string, at float64) *job.QJob {
+		return &job.QJob{ID: id, NumQubits: 10, Depth: 5, Shots: 1000, TwoQubitGates: 1, ArrivalTime: at}
+	}
+	e.SubmitWorkload([]*job.QJob{mk("a", first), mk("b", due), mk("c", due)})
+	if _, err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.Records.Get("b").Arrival; got != reached {
+		t.Errorf("b arrived at %v, want %v", got, reached)
+	}
+	if got, want := e.Records.Get("c").Arrival, reached+(due-reached); got != want {
+		t.Errorf("c arrived at %v, want %v", got, want)
+	}
+}
