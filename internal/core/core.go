@@ -103,11 +103,13 @@ type QCloudSimEnv struct {
 	// Records collects lifecycle events and metrics.
 	Records *records.Manager
 
+	// submitted records that SubmitWorkload was called, which
+	// EnableCalibrationDrift requires.
+	submitted bool
 	// feeding counts submitted workloads whose last job has not yet
 	// arrived; calibration drift runs until it is zero and no job is
 	// executing.
-	submitted bool
-	feeding   int
+	feeding int
 }
 
 // NewQCloudSimEnv assembles a simulation over the given fleet with the
@@ -125,7 +127,9 @@ func NewQCloudSimEnv(env *sim.Environment, fleet []*device.Device, pol policy.Po
 // Jobs must be sorted by arrival time. One self-rescheduling timer walks
 // the slice: each firing admits every job that is due, in slice order,
 // and sleeps until the next arrival. The clock reaches an arrival as
-// now + (arrival - now), the sum a sleeping generator process computes.
+// now + (arrival - now), which can round below it; the job is admitted
+// then all the same, and the recorded arrival times are pinned by
+// TestBatchEngineDigests.
 func (e *QCloudSimEnv) SubmitWorkload(jobs []*job.QJob) {
 	e.submitted = true
 	e.feeding++
@@ -143,8 +147,7 @@ func (e *QCloudSimEnv) SubmitWorkload(jobs []*job.QJob) {
 		}
 		e.feeding--
 	}
-	// wake admits the job it slept for, even where now+(arrival-now)
-	// rounded below the arrival, then carries on.
+	// wake admits the job it slept for, then carries on.
 	wake = func() {
 		e.Broker.Admit(jobs[next])
 		next++

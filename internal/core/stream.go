@@ -614,8 +614,8 @@ func (b *Broker) start(pj pendingJob, allocs []policy.Allocation) {
 
 // onProcessed fires when the slowest partition finishes. The partitions
 // join one zero-delay step later, behind every event already due at
-// this instant: an arrival or a recalibration at the same time is seen
-// before the job completes, as in a SimPy process waiting on AllOf.
+// this instant, so an arrival or a recalibration at the same time is
+// seen before the job completes (pinned by TestBatchEngineDigests).
 //
 //repro:noalloc
 func (jr *jobRun) onProcessed() {
